@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from stabset.constructions import dyadic_construction
+from stabset.fileformats import serialize_set, serialize_witness
 from stabset.gf2 import BitVector, Subspace2, sumset
 from stabset.modelling import (
     WitnessPartition,
@@ -153,6 +155,46 @@ class TestCompress:
         for l in range(1, 7):
             res = compress(inst.A, inst.witness, l)
             assert (1 << res.n) <= res.bound_value
+
+
+# dyadic l=2 at trim l -> (n, |A'|, step d_sizes, phi.matrix, sha256 of the
+# serialized A' and of the serialized witness')
+COMPRESS_D2_PINS = {
+    2: (
+        10, 149, [1024], (1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+        "4901448642390ca227e703e8582761dc5d7b191bccb4bb31bf44931235bfdd7e",
+        "18173d511dadf835e9fd8819bfa89417e1ac00a3978a13c7ac77cb5acd885ea0",
+    ),
+    4: (
+        9, 97, [1008, 512], (1, 2, 4, 8, 16, 32, 192, 320, 512),
+        "3ccc19407dcec4b8eb3390b9f709c23b61d7b249b5f4b9b8fcd42351e5d7a9df",
+        "79c668f0cd168c9832f5a6879855238581e48b24ec4b05c700e04d0a4af8d13b",
+    ),
+    6: (
+        8, 65, [720, 448, 256], (1, 2, 4, 8, 16, 32, 128, 256),
+        "58022eee14a9fe158d5ae6c66760e20c7f7784c068bdf50a4e3eb00a2fabed49",
+        "1a02e89ab83fc45662ae32850b6d78a3470b32f91e719a7dd50969b6032baa07",
+    ),
+}
+
+
+@pytest.mark.parametrize("trim", sorted(COMPRESS_D2_PINS))
+def test_compress_dyadic2_pinned(trim):
+    inst = dyadic_construction(2)
+    res = compress(inst.A, inst.witness, trim)
+
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    got = (
+        res.n,
+        res.A_prime.N,
+        [step.d_size for step in res.steps],
+        res.phi.matrix,
+        digest(serialize_set(res.A_prime)),
+        digest(serialize_witness(res.witness_prime)),
+    )
+    assert got == COMPRESS_D2_PINS[trim]
 
 
 class TestPetridis:

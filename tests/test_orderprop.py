@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpll
+from stabset.constructions import dyadic_construction
 from stabset.gf2 import BitVector
 from stabset.orderprop import (
     AMBIENT_Z,
@@ -36,6 +37,34 @@ def f2wit(n: int, s: list[str], t: list[str]) -> Witness:
 
 AP_SET = FiniteSet.z([0, 1, 2])
 AP_WITNESS = Witness(AMBIENT_Z, (-1, -2, -3), (1, 2, 3))
+
+
+def strings(xs) -> list[str]:
+    return [x.to_string() for x in xs]
+
+
+def bad_cells(A: FiniteSet, w: Witness) -> list[tuple[int, int]]:
+    """Every cell (1-based) that breaks the definition, by a plain int scan."""
+    members = {x.bits for x in A.elements}
+    return [
+        (i, j)
+        for i, si in enumerate(w.s, start=1)
+        for j, tj in enumerate(w.t, start=1)
+        if ((si.bits ^ tj.bits) in members) != (i <= j)
+    ]
+
+
+def unit_witness(k: int) -> tuple[FiniteSet, Witness]:
+    """s_i = e_i and t_j = e_(k+j) in F2^(2k), with A the upper cells.
+
+    Every cell s_i + t_j is a distinct vector, so an edit of A breaks exactly
+    the cell it touches.
+    """
+    n = 2 * k
+    s = tuple(BitVector.unit(n, i) for i in range(1, k + 1))
+    t = tuple(BitVector.unit(n, k + j) for j in range(1, k + 1))
+    A = FiniteSet.f2(n, [s[i] + t[j] for i in range(k) for j in range(i, k)])
+    return A, Witness(ambient_f2(n), s, t)
 
 
 def small_f2_sets(n_max: int = 4, size_max: int = 5):
@@ -77,6 +106,37 @@ class TestVerifyWitness:
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
             verify_witness(AP_SET, f2wit(2, ["00"], ["00"]))
+
+    def test_fails_only_at_one_diagonal_cell(self):
+        A, w = unit_witness(5)
+        for m in (1, 3, 5):
+            B = FiniteSet(A.ambient, A.elements - {w.s[m - 1] + w.t[m - 1]})
+            assert bad_cells(B, w) == [(m, m)]
+            verdict = verify_witness(B, w)
+            assert (verdict.valid, verdict.reason, verdict.where) == (False, "expected-in-A", (m, m))
+
+    def test_dyadic_fails_only_at_one_diagonal_cell(self):
+        inst = dyadic_construction(2)
+        w = inst.witness
+        for m in (1, 13, 24):
+            B = FiniteSet(inst.A.ambient, inst.A.elements - {w.s[m - 1] + w.t[m - 1]})
+            assert bad_cells(B, w) == [(m, m)]
+            verdict = verify_witness(B, w)
+            assert (verdict.reason, verdict.where) == ("expected-in-A", (m, m))
+
+    def test_fails_only_at_last_row_first_column(self):
+        k = 5
+        A, w = unit_witness(k)
+        B = FiniteSet(A.ambient, A.elements | {w.s[k - 1] + w.t[0]})
+        assert bad_cells(B, w) == [(k, 1)]
+        verdict = verify_witness(B, w)
+        assert (verdict.valid, verdict.reason, verdict.where) == (False, "expected-not-in-A", (k, 1))
+
+    def test_integer_witness_fails_only_at_last_row_first_column(self):
+        # s_i + t_j = j - i, so only cell (3, 1) sums to -2
+        A = FiniteSet.z([0, 1, 2, -2])
+        verdict = verify_witness(A, AP_WITNESS)
+        assert (verdict.reason, verdict.where) == ("expected-not-in-A", (3, 1))
 
     def test_not_in_a_violation(self):
         # valid diagonal, but s_2 + t_1 falls into A
@@ -152,6 +212,29 @@ class TestMaxOrderExact:
         report = max_order_exact(A, time_limit=0.0)
         assert report.status == "lower-bound-only"
         assert verify_witness(A, report.witness).valid
+
+
+    def test_pinned_dyadic_l1(self):
+        report = max_order_exact(dyadic_construction(1).A)
+        assert (report.kmax, report.status, report.nodes_explored) == (4, "exact", 1257)
+        assert strings(report.witness.s) == ["0000", "0010", "0101", "0110"]
+        assert strings(report.witness.t) == ["0000", "0011", "0001", "1001"]
+
+    def test_pinned_dyadic_l2_budgets(self):
+        A = dyadic_construction(2).A
+        report = max_order_exact(A, node_limit=20000)
+        assert (report.kmax, report.status, report.nodes_explored) == (10, "lower-bound-only", 20002)
+        assert strings(report.witness.s) == [
+            "0000000000", "0000000011", "0000001011", "0010000100", "0110010111",
+            "0010101111", "0110101111", "0110001011", "0001101111", "0010101011",
+        ]
+        assert strings(report.witness.t) == [
+            "0000000000", "0000000001", "0000000010", "0000000110", "0100000110",
+            "0000100110", "0010000010", "1010000010", "1000100110", "1010100110",
+        ]
+        report = max_order_exact(A, node_limit=1)
+        assert (report.kmax, report.status, report.nodes_explored) == (1, "lower-bound-only", 1)
+        assert strings(report.witness.s) == strings(report.witness.t) == ["0000000000"]
 
 
 class TestBruteforceOracle:
@@ -234,6 +317,26 @@ class TestStaircase:
     def test_duplicate_row_value_rejected(self):
         w = f2wit(2, ["00", "01"], ["10", "10"])
         assert staircase_check(w).reason == "row-collision"
+
+    def test_pinned_collision_locations(self):
+        w = dyadic_construction(2).witness
+
+        def edit(role: str, index: int, value: BitVector) -> Witness:
+            seq = list(getattr(w, role))
+            seq[index - 1] = value
+            s, t = (tuple(seq), w.t) if role == "s" else (w.s, tuple(seq))
+            return Witness(w.ambient, s, t)
+
+        cases = [
+            (edit("t", 9, w.t[4]), "row-collision", (1, 9)),
+            (edit("s", 11, w.s[5]), "column-collision", (11, 1)),
+            # cell (5, 7) now equals the upper cell (2, 3)
+            (edit("t", 7, w.s[4] + w.s[1] + w.t[2]), "staircase-collision", (5, 7)),
+            (edit("t", 17, w.s[12] + w.s[3] + w.t[8]), "staircase-collision", (13, 17)),
+        ]
+        for corrupted, reason, where in cases:
+            verdict = staircase_check(corrupted)
+            assert (verdict.valid, verdict.reason, verdict.where) == (False, reason, where)
 
 
 class TestCnfExport:

@@ -52,6 +52,19 @@ class TestMonomialSpace:
         supports = [tuple(BitVector(3, m).support()) for m in basis.monomials]
         assert supports == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
 
+    def test_basis_order_matches_support_tuple_reference(self):
+        for n in range(7):
+
+            def support(m: int) -> tuple[int, ...]:
+                return tuple(i + 1 for i in range(n) if (m >> i) & 1)
+
+            for d in range(n + 1):
+                expected = sorted(
+                    (m for m in range(1 << n) if m.bit_count() <= d),
+                    key=lambda m: (m.bit_count(), support(m)),
+                )
+                assert list(monomial_basis(n, d).monomials) == expected
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             monomial_space_dim(3, 4)
