@@ -13,17 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from stabset.gf2 import BitVector
 from stabset.orderprop import (
     AMBIENT_Z,
+    INT64_MAX,
+    INT64_MIN,
     FiniteSet,
     Witness,
-    ambient_f2,
+    require_f2,
     verify_witness,
 )
-
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
 
 MAX_DYADIC_L = 4
 
@@ -71,7 +69,8 @@ class DyadicPlan:
     mirror-wise (entry r and entry R+1-r partition them); tag coordinates
     beyond 2l separate the translates: block row i carries the binary code of
     i-1 on coordinates 2l+1 .. 2l+tag_bits, block column j the code of j-1 on
-    the following tag_bits coordinates.
+    the following tag_bits coordinates.  Vectors of F2^dim are returned as
+    ints (bit c-1 for coordinate c).
     """
 
     l: int
@@ -80,10 +79,7 @@ class DyadicPlan:
     tag_bits: int
     subset_sequence: tuple[frozenset[int], ...]
 
-    def coordinate_mask(self, subset: frozenset[int]) -> int:
-        return sum(1 << (c - 1) for c in subset)
-
-    def cube_enumeration(self, index: int) -> list[BitVector]:
+    def cube_enumeration(self, index: int) -> list[int]:
         """v_1 .. v_{2^l}: all vectors supported on S_index (1-based index),
         in lexicographic order of their restriction to those coordinates."""
         coords = sorted(self.subset_sequence[index - 1])
@@ -93,26 +89,21 @@ class DyadicPlan:
             for pos, c in enumerate(coords):
                 if (m >> (self.l - 1 - pos)) & 1:
                     bits |= 1 << (c - 1)
-            out.append(BitVector(self.dim, bits))
+            out.append(bits)
         return out
 
-    def row_tag(self, i: int) -> BitVector:
+    def row_tag(self, i: int) -> int:
         """u_i: code of i-1 on the first tag block."""
         return self._tag(i, offset=2 * self.l)
 
-    def column_tag(self, j: int) -> BitVector:
+    def column_tag(self, j: int) -> int:
         """w_j: code of j-1 on the second tag block."""
         return self._tag(j, offset=2 * self.l + self.tag_bits)
 
-    def _tag(self, index: int, offset: int) -> BitVector:
+    def _tag(self, index: int, offset: int) -> int:
         if not 1 <= index <= self.R:
             raise ValueError(f"tag index {index} outside [1, {self.R}]")
-        bits = 0
-        code = index - 1
-        for q in range(self.tag_bits):
-            if (code >> q) & 1:
-                bits |= 1 << (offset + q)
-        return BitVector(self.dim, bits)
+        return (index - 1) << offset
 
 
 def dyadic_plan(l: int) -> DyadicPlan:
@@ -139,7 +130,8 @@ def dyadic_plan(l: int) -> DyadicPlan:
         used.add(subset)
         used.add(complement)
     sequence = tuple(front) + tuple(reversed(back))
-    assert len(sequence) == R
+    if len(sequence) != R:
+        raise AssertionError(f"paired {len(sequence)} subsets, expected {R}")
     tag_bits = max(1, math.ceil(math.log2(R)))
     return DyadicPlan(l, R, 2 * l + 2 * tag_bits, tag_bits, sequence)
 
@@ -190,34 +182,25 @@ def dyadic_construction(l: int) -> ConstructedInstance:
     plan = dyadic_plan(l)
     R, dim = plan.R, plan.dim
     enumerations = {i: plan.cube_enumeration(i) for i in range(1, R + 1)}
-    elements: set[BitVector] = set()
+    elements: set[int] = set()
     for i in range(1, R + 1):
         u = plan.row_tag(i)
+        cube_i = enumerations[i]
         for j in range(i, R + 1):
-            base = u + plan.column_tag(j)
+            base = u ^ plan.column_tag(j)
+            cube_mirror = enumerations[R + 1 - j]
             if i < j:
-                for vm in enumerations[i]:
-                    shifted = base + vm
-                    for vn in enumerations[R + 1 - j]:
-                        elements.add(shifted + vn)
+                for vm in cube_i:
+                    shifted = base ^ vm
+                    elements.update([shifted ^ vn for vn in cube_mirror])
             else:
-                cube_i = enumerations[i]
-                cube_mirror = enumerations[R + 1 - i]
                 for m in range(1 << l):
-                    for n in range(m, 1 << l):
-                        elements.add(base + cube_i[m] + cube_mirror[n])
-    s_seq = []
-    t_seq = []
-    for b in range(1, R + 1):
-        u = plan.row_tag(b)
-        for v in enumerations[b]:
-            s_seq.append(u + v)
-    for b in range(1, R + 1):
-        w = plan.column_tag(b)
-        for v in enumerations[R + 1 - b]:
-            t_seq.append(w + v)
-    A = FiniteSet.f2(dim, elements)
-    witness = Witness(ambient_f2(dim), tuple(s_seq), tuple(t_seq))
+                    shifted = base ^ cube_i[m]
+                    elements.update([shifted ^ vn for vn in cube_mirror[m:]])
+    s_seq = [plan.row_tag(b) ^ v for b in range(1, R + 1) for v in enumerations[b]]
+    t_seq = [plan.column_tag(b) ^ v for b in range(1, R + 1) for v in enumerations[R + 1 - b]]
+    A = FiniteSet.from_bits(dim, elements)
+    witness = Witness.from_bits(dim, s_seq, t_seq)
     bound = size_bound(l)
     meta = {
         "kind": "dyadic",
@@ -251,24 +234,13 @@ def pad_to_size(inst: ConstructedInstance, size: int) -> ConstructedInstance:
         raise ValueError(f"cannot pad down: {size} < {current}")
     if size == current:
         return inst
-    if inst.A.ambient.kind != "f2":
-        raise ValueError("padding supports F2 ambients only")
-    old_n = inst.A.ambient.n
+    old_n = require_f2(inst.A.ambient, "padding")
     extra = size - current
     new_n = old_n + extra
-
-    def lift(v: BitVector) -> BitVector:
-        return BitVector(new_n, v.bits)
-
-    elements = {lift(v) for v in inst.A.elements}
-    for idx in range(extra):
-        elements.add(BitVector.unit(new_n, old_n + 1 + idx))
-    A = FiniteSet.f2(new_n, elements)
-    witness = Witness(
-        ambient_f2(new_n),
-        tuple(lift(v) for v in inst.witness.s),
-        tuple(lift(v) for v in inst.witness.t),
-    )
+    fillers = [1 << (old_n + idx) for idx in range(extra)]
+    A = FiniteSet.from_bits(new_n, [*inst.A.int_members(), *fillers])
+    to_ints = inst.A.ambient.to_ints
+    witness = Witness.from_bits(new_n, to_ints(inst.witness.s), to_ints(inst.witness.t))
     meta = dict(inst.meta)
     meta["padded_to"] = size
     meta["dim"] = new_n

@@ -61,7 +61,11 @@ def _format_element(x, ambient: Ambient) -> str:
 
 def serialize_set(A: FiniteSet) -> str:
     lines = [SET_MAGIC, _group_line(A.ambient)]
-    lines.extend(_format_element(x, A.ambient) for x in A.sorted_elements())
+    if A.ambient.kind == "f2":
+        # the canonical bitstrings sort in the library's order on F2^n
+        lines.extend(sorted(x.to_string() for x in A.elements))
+    else:
+        lines.extend(str(x) for x in sorted(A.elements))
     return "\n".join(lines) + "\n"
 
 

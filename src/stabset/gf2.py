@@ -5,6 +5,12 @@ bit i-1.  The canonical string form writes coordinate 1 leftmost, so the
 string "0110" has coordinates 2 and 3 set.  All row reductions pivot on the
 leftmost coordinate first, which makes echelon forms (and therefore reported
 bases) canonical and directly comparable in tests.
+
+Convention for the whole library: inside a computation an element of F2^n
+is a plain int plus the width n, and addition is `^`.  `BitVector` appears
+only at the boundary (public arguments, result objects and files): code reads
+`.bits` once on entry and wraps its results once on return.  The one order on
+F2^n is `lex_key`, the canonical bitstring, which every sort uses.
 """
 
 from __future__ import annotations
@@ -46,17 +52,13 @@ class BitVector:
 
     @classmethod
     def from_string(cls, text: str) -> "BitVector":
-        """Parse a bitstring with coordinate 1 leftmost."""
+        """Parse a bitstring with coordinate 1 leftmost (the inverse of lex_key)."""
         if text.strip("01"):
             raise ValueError(f"not a bitstring: {text!r}")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        return cls(len(text), int(text[::-1], 2) if text else 0)
 
     def to_string(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return lex_key(self.bits, self.n)
 
     def coord(self, i: int) -> int:
         """Coordinate i, 1-based."""
@@ -68,12 +70,8 @@ class BitVector:
         return tuple(i for i in range(1, self.n + 1) if (self.bits >> (i - 1)) & 1)
 
     @property
-    def lex_key(self) -> int:
-        """Sort key realizing bitstring order (coordinate 1 most significant)."""
-        key = 0
-        for i in range(self.n):
-            key = (key << 1) | ((self.bits >> i) & 1)
-        return key
+    def lex_key(self) -> str:
+        return lex_key(self.bits, self.n)
 
     def __add__(self, other: "BitVector") -> "BitVector":
         if not isinstance(other, BitVector):
@@ -91,9 +89,23 @@ class BitVector:
         return self.to_string()
 
 
+def lex_key(bits: int, n: int) -> str:
+    """The canonical bitstring of a vector of F2^n, coordinate 1 leftmost.
+
+    Equal-width strings of 0s and 1s sort lexicographically, so this string
+    is also the sort key of the library's one order on F2^n.
+    """
+    return format(bits, f"0{n}b")[::-1] if n else ""
+
+
 def sort_vectors(vectors: Iterable[BitVector]) -> list[BitVector]:
     """Deterministic bitstring-lexicographic order."""
-    return sorted(vectors, key=lambda v: v.lex_key)
+    return sorted(vectors, key=lambda v: lex_key(v.bits, v.n))
+
+
+def lex_sorted(bits: Iterable[int], n: int) -> list[int]:
+    """Vectors of F2^n given as ints, in bitstring-lexicographic order."""
+    return sorted(bits, key=lambda b: lex_key(b, n))
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +187,18 @@ class LinearMap2:
     def identity(cls, n: int) -> "LinearMap2":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_rows(cls, rows: int, cols: int, row_masks: Iterable[int]) -> "LinearMap2":
-        return cls(rows, cols, tuple(row_masks))
-
     def apply(self, x: BitVector) -> BitVector:
         if x.n != self.cols:
             raise ValueError(f"dimension mismatch: map expects {self.cols}, got {x.n}")
+        return BitVector(self.rows, self.apply_bits(x.bits))
+
+    def apply_bits(self, x: int) -> int:
+        """The image of the vector with bits x, as bits."""
         out = 0
         for r, row in enumerate(self.matrix):
-            if (row & x.bits).bit_count() & 1:
+            if (row & x).bit_count() & 1:
                 out |= 1 << r
-        return BitVector(self.rows, out)
+        return out
 
     def compose(self, inner: "LinearMap2") -> "LinearMap2":
         """self after inner: (self.compose(inner)).apply(x) == self.apply(inner.apply(x))."""
@@ -263,27 +275,28 @@ class Subspace2:
             yield BitVector(self.n, acc)
 
 
-def span(vectors: Iterable[BitVector], n: int) -> Subspace2:
-    return Subspace2.from_vectors(n, vectors)
-
-
 def quotient_map(n: int, x: BitVector) -> LinearMap2:
-    """Surjection F2^n -> F2^(n-1) whose kernel is exactly {0, x}.
+    """Surjection F2^n -> F2^(n-1) whose kernel is exactly {0, x}."""
+    if x.n != n:
+        raise ValueError(f"dimension mismatch: {x.n} vs {n}")
+    return quotient_map_bits(n, x.bits)
+
+
+def quotient_map_bits(n: int, x: int) -> LinearMap2:
+    """quotient_map for the vector of F2^n with bits x.
 
     Pivots on the lowest set coordinate p of x: output coordinates are the
     input coordinates i != p, corrected by x_i * v_p so that x maps to zero.
     """
-    if x.n != n:
-        raise ValueError(f"dimension mismatch: {x.n} vs {n}")
-    if x.bits == 0:
+    if x == 0:
         raise ValueError("kernel generator must be nonzero")
-    p = (x.bits & -x.bits).bit_length() - 1  # 0-based pivot coordinate
+    p = (x & -x).bit_length() - 1  # 0-based pivot coordinate
     rows = []
     for i in range(n):
         if i == p:
             continue
         row = 1 << i
-        if (x.bits >> i) & 1:
+        if (x >> i) & 1:
             row |= 1 << p
         rows.append(row)
     return LinearMap2(n - 1, n, tuple(rows))
@@ -293,12 +306,12 @@ def sumset(xs: Iterable[BitVector], ys: Iterable[BitVector]) -> frozenset[BitVec
     """{x + y : x in xs, y in ys}; in characteristic 2 this is also x - y."""
     xs = list(xs)
     ys = list(ys)
-    if xs and ys:
-        nx, ny = xs[0].n, ys[0].n
-        if nx != ny:
-            raise ValueError(f"dimension mismatch: {nx} vs {ny}")
-    out = set()
-    for x in xs:
-        for y in ys:
-            out.add(x + y)
-    return frozenset(out)
+    if not xs or not ys:
+        return frozenset()
+    n = xs[0].n
+    for v in xs + ys:
+        if v.n != n:
+            raise ValueError(f"dimension mismatch: {v.n} vs {n}")
+    y_bits = [y.bits for y in ys]
+    sums = {x.bits ^ y for x in xs for y in y_bits}
+    return frozenset(BitVector(n, b) for b in sums)

@@ -19,8 +19,9 @@ from typing import Iterable
 from stabset.gf2 import (
     BitVector,
     LinearMap2,
-    Subspace2,
-    quotient_map,
+    lex_key,
+    quotient_map_bits,
+    rref_rows,
     sort_vectors,
     sumset,
 )
@@ -28,7 +29,7 @@ from stabset.orderprop import (
     Ambient,
     FiniteSet,
     Witness,
-    ambient_f2,
+    require_f2,
     verify_witness,
 )
 
@@ -57,8 +58,7 @@ class WitnessPartition:
 
 def partition_witness(A: FiniteSet, w: Witness, l: int) -> WitnessPartition:
     """Split a valid witness at trim parameter l, 1 <= l <= floor(k/4)."""
-    if A.ambient.kind != "f2":
-        raise ValueError("witness partitioning supports F2 ambients only")
+    require_f2(A.ambient, "witness partitioning")
     verdict = verify_witness(A, w)
     if not verdict.valid:
         raise ValueError(f"witness invalid: {verdict.describe()}")
@@ -69,11 +69,12 @@ def partition_witness(A: FiniteSet, w: Witness, l: int) -> WitnessPartition:
     s_mid = frozenset(w.s[l - 1 : k - l])
     t_tail = frozenset(w.t[k - l - 1 : k])
     t_mid = frozenset(w.t[l - 1 : k - l])
-    assert len(s_head) >= l and len(t_tail) >= l
-    assert len(s_mid) >= k - 2 * l and len(t_mid) >= k - 2 * l
-    members = A.elements
+    if min(len(s_head), len(t_tail)) < l or min(len(s_mid), len(t_mid)) < k - 2 * l:
+        raise AssertionError("a band lost entries despite a valid witness")
+    members = A.int_members()
     for left, right in ((s_head, t_mid), (s_head, t_tail), (s_mid, t_tail)):
-        if not sumset(left, right) <= members:
+        right_bits = [y.bits for y in right]
+        if not members.issuperset([x.bits ^ y for x in left for y in right_bits]):
             raise AssertionError("band sumset escapes A despite a valid witness")
     return WitnessPartition(
         ambient=A.ambient,
@@ -134,16 +135,6 @@ class ModelResult:
     steps: tuple[ModelStep, ...]
 
 
-def _lex_points(n: int) -> Iterable[BitVector]:
-    """All of F2^n in bitstring-lexicographic order."""
-    for string_value in range(1 << n):
-        bits = 0
-        for pos in range(n):
-            if (string_value >> (n - 1 - pos)) & 1:
-                bits |= 1 << pos
-        yield BitVector(n, bits)
-
-
 def minimal_model(
     p: WitnessPartition, ambient_n: int
 ) -> tuple[int, LinearMap2, tuple[ModelStep, ...]]:
@@ -152,38 +143,40 @@ def minimal_model(
 
     Start from the coordinate projection onto the span of the midband
     elements.  While some x is missing from D = phi(s_mid) + phi(s_mid)
-    + phi(t_mid) + phi(t_mid), compose with the quotient killing {0, x}:
-    a collision a != b created by that quotient would force
-    phi(a) + phi(b) = x inside D, so injectivity survives (and is re-checked
-    after every step).  The loop ends exactly when 2^n = |D|.
+    + phi(t_mid) + phi(t_mid), compose with the quotient killing {0, x} for
+    the lexicographically first such x: a collision a != b created by that
+    quotient would force phi(a) + phi(b) = x inside D, so injectivity
+    survives (and is re-checked after every step).  The loop ends exactly
+    when 2^n = |D|.
     """
-    involved = list(p.s_mid | p.t_mid)
-    for v in involved:
+    for v in p.s_mid | p.t_mid:
         if v.n != ambient_n:
             raise ValueError(f"element dimension {v.n} differs from ambient {ambient_n}")
-    base = Subspace2.from_vectors(ambient_n, involved)
-    phi = LinearMap2(
-        base.dim,
-        ambient_n,
-        tuple(1 << (piv - 1) for piv in base.pivots()),
-    )
-    n = base.dim
+    s_mid = [v.bits for v in p.s_mid]
+    t_mid = [v.bits for v in p.t_mid]
+    _, pivots = rref_rows(s_mid + t_mid, ambient_n)
+    n = len(pivots)
+    phi = LinearMap2(n, ambient_n, tuple(1 << piv for piv in pivots))
     if n > MAX_MODEL_DIM:
         raise ValueError(f"midband span dimension {n} exceeds guard {MAX_MODEL_DIM}")
-    mid_sums = sumset(p.s_mid, p.t_mid)
+    mid_sums = {a ^ b for a in s_mid for b in t_mid}
     steps: list[ModelStep] = []
     while True:
-        images_s = {phi.apply(v) for v in p.s_mid}
-        images_t = {phi.apply(v) for v in p.t_mid}
-        d_set = sumset(sumset(images_s, images_s), sumset(images_t, images_t))
-        injective = len({phi.apply(u) for u in mid_sums}) == len(mid_sums)
+        images_s = {phi.apply_bits(v) for v in s_mid}
+        images_t = {phi.apply_bits(v) for v in t_mid}
+        ss = {a ^ b for a in images_s for b in images_s}
+        tt = {a ^ b for a in images_t for b in images_t}
+        d_set = {a ^ b for a in ss for b in tt}
+        injective = len({phi.apply_bits(u) for u in mid_sums}) == len(mid_sums)
         steps.append(ModelStep(n, len(d_set), injective))
         if not injective:
             raise AssertionError("model map lost injectivity on the midband sumset")
         if len(d_set) == (1 << n):
             return n, phi, tuple(steps)
-        missing = next(x for x in _lex_points(n) if x not in d_set)
-        phi = quotient_map(n, missing).compose(phi)
+        missing = min(
+            (x for x in range(1 << n) if x not in d_set), key=lambda x: lex_key(x, n)
+        )
+        phi = quotient_map_bits(n, missing).compose(phi)
         n -= 1
 
 
@@ -198,17 +191,12 @@ def compress(A: FiniteSet, w: Witness, l: int) -> ModelResult:
     partition = partition_witness(A, w, l)
     n, phi, steps = minimal_model(partition, A.ambient.n)
     k = w.k
-    cells = set()
-    for i in range(l, k - l + 1):  # 1-based
-        for j in range(i, k - l + 1):
-            cells.add(phi.apply(w.s[i - 1] + w.t[j - 1]))
-    A_prime = FiniteSet.f2(n, cells)
-    new_order = k - 2 * l + 1
-    witness_prime = Witness(
-        ambient_f2(n),
-        tuple(phi.apply(w.s[l + i - 2]) for i in range(1, new_order + 1)),
-        tuple(phi.apply(w.t[l + j - 2]) for j in range(1, new_order + 1)),
-    )
+    # phi is linear, so phi(s_i + t_j) = phi(s_i) + phi(t_j)
+    s_img = [phi.apply_bits(x.bits) for x in w.s[l - 1 : k - l]]
+    t_img = [phi.apply_bits(x.bits) for x in w.t[l - 1 : k - l]]
+    cells = {si ^ tj for i, si in enumerate(s_img) for tj in t_img[i:]}
+    A_prime = FiniteSet.from_bits(n, cells)
+    witness_prime = Witness.from_bits(n, s_img, t_img)
     verdict = verify_witness(A_prime, witness_prime)
     if not verdict.valid:
         raise AssertionError(f"compressed witness fails: {verdict.describe()}")

@@ -10,11 +10,13 @@ independent brute-force oracle and a SAT encoding.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from itertools import combinations
+from typing import Callable, Iterable, Optional, Union
 
-from stabset.gf2 import BitVector, sort_vectors
+from stabset.gf2 import BitVector, lex_key, lex_sorted
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -49,9 +51,25 @@ class Ambient:
             if not INT64_MIN <= x <= INT64_MAX:
                 raise ValueError(f"integer {x} outside signed 64-bit range")
 
+    def to_ints(self, xs: Iterable[Element]) -> list[int]:
+        """Elements as ints: F2 vectors by their bits, integers as they are."""
+        return [x.bits for x in xs] if self.kind == "f2" else list(xs)
+
+    @property
+    def add(self) -> Callable[[int, int], int]:
+        """The group law on the int form of elements."""
+        return operator.xor if self.kind == "f2" else operator.add
+
 
 def ambient_f2(n: int) -> Ambient:
     return Ambient("f2", n)
+
+
+def require_f2(ambient: Ambient, purpose: str) -> int:
+    """The dimension of an F2 ambient; refuses the integers."""
+    if ambient.kind != "f2":
+        raise ValueError(f"{purpose} supports F2 ambients only")
+    return ambient.n
 
 
 AMBIENT_Z = Ambient("z")
@@ -73,6 +91,10 @@ class FiniteSet:
         return cls(ambient_f2(n), frozenset(elements))
 
     @classmethod
+    def from_bits(cls, n: int, bits: Iterable[int]) -> "FiniteSet":
+        return cls.f2(n, (BitVector(n, b) for b in bits))
+
+    @classmethod
     def z(cls, elements: Iterable[int]) -> "FiniteSet":
         return cls(AMBIENT_Z, frozenset(elements))
 
@@ -80,10 +102,11 @@ class FiniteSet:
     def N(self) -> int:
         return len(self.elements)
 
-    def sorted_elements(self) -> list:
+    def int_members(self) -> frozenset[int]:
+        """The members as ints (see Ambient.to_ints), built on each call."""
         if self.ambient.kind == "f2":
-            return sort_vectors(self.elements)
-        return sorted(self.elements)
+            return frozenset(x.bits for x in self.elements)
+        return self.elements
 
 
 @dataclass(frozen=True)
@@ -106,6 +129,14 @@ class Witness:
             for a in (min(self.s) + min(self.t), max(self.s) + max(self.t)):
                 if not INT64_MIN <= a <= INT64_MAX:
                     raise ValueError("witness sums overflow signed 64-bit range")
+
+    @classmethod
+    def from_bits(cls, n: int, s: Iterable[int], t: Iterable[int]) -> "Witness":
+        return cls(
+            ambient_f2(n),
+            tuple(BitVector(n, b) for b in s),
+            tuple(BitVector(n, b) for b in t),
+        )
 
     @property
     def k(self) -> int:
@@ -149,11 +180,6 @@ class SolveReport:
     status: str  # "exact" | "lower-bound-only"
 
 
-def _ambients_match(a: Ambient, b: Ambient) -> None:
-    if a != b:
-        raise ValueError(f"ambient mismatch: {a} vs {b}")
-
-
 def verify_witness(A: FiniteSet, w: Witness) -> Verdict:
     """Check the definition cell by cell; k = 0 is vacuously valid.
 
@@ -161,27 +187,39 @@ def verify_witness(A: FiniteSet, w: Witness) -> Verdict:
     order: "expected-in-A" when i <= j but s_i + t_j misses A, and
     "expected-not-in-A" when i > j but the sum lands in A.
     """
-    _ambients_match(A.ambient, w.ambient)
-    k = w.k
-    seen: dict = {}
-    for idx, x in enumerate(w.s, start=1):
-        if x in seen:
-            return Verdict(False, "duplicate-s", (seen[x], idx))
-        seen[x] = idx
-    seen = {}
-    for idx, x in enumerate(w.t, start=1):
-        if x in seen:
-            return Verdict(False, "duplicate-t", (seen[x], idx))
-        seen[x] = idx
-    members = A.elements
-    for i in range(1, k + 1):
-        si = w.s[i - 1]
-        for j in range(1, k + 1):
-            inside = (si + w.t[j - 1]) in members
-            if (i <= j) and not inside:
-                return Verdict(False, "expected-in-A", (i, j))
-            if (i > j) and inside:
-                return Verdict(False, "expected-not-in-A", (i, j))
+    if A.ambient != w.ambient:
+        raise ValueError(f"ambient mismatch: {A.ambient} vs {w.ambient}")
+    to_ints = A.ambient.to_ints
+    return _verify_ints(A.int_members(), to_ints(w.s), to_ints(w.t), A.ambient.add)
+
+
+def _first_repeat(seq: list[int]) -> Optional[tuple[int, int]]:
+    """1-based (earlier, later) indices of the first entry equal to an earlier one."""
+    seen: dict[int, int] = {}
+    for idx, x in enumerate(seq, start=1):
+        first = seen.setdefault(x, idx)
+        if first != idx:
+            return first, idx
+    return None
+
+
+def _verify_ints(
+    members: frozenset[int], s: list[int], t: list[int], add: Callable[[int, int], int]
+) -> Verdict:
+    for role, seq in (("s", s), ("t", t)):
+        repeat = _first_repeat(seq)
+        if repeat:
+            return Verdict(False, f"duplicate-{role}", repeat)
+    for i, si in enumerate(s, start=1):
+        row = [add(si, tj) for tj in t]
+        # row i is right when its cells j < i miss A and the rest lie in A;
+        # only a wrong row is scanned cell by cell
+        if members.isdisjoint(row[: i - 1]) and members.issuperset(row[i - 1 :]):
+            continue
+        for j, x in enumerate(row, start=1):
+            if (x in members) != (i <= j):
+                reason = "expected-in-A" if i <= j else "expected-not-in-A"
+                return Verdict(False, reason, (i, j))
     return Verdict(True)
 
 
@@ -195,19 +233,28 @@ def canonical_enumeration(A: FiniteSet, S: Iterable, T: Iterable) -> Optional[Wi
     """
     S = list(S)
     T = list(T)
-    if len(S) != len(set(S)) or len(T) != len(set(T)):
+    ambient = A.ambient
+    for x in S + T:
+        ambient.check_element(x)
+    s_ints = ambient.to_ints(S)
+    t_ints = ambient.to_ints(T)
+    if len(S) != len(set(s_ints)) or len(T) != len(set(t_ints)):
         raise ValueError("S and T must be sets of distinct elements")
     if len(S) != len(T):
         raise ValueError(f"size mismatch: |S| = {len(S)}, |T| = {len(T)}")
-    members = A.elements
-    s_deg = {x: sum(1 for y in T if (x + y) in members) for x in S}
-    t_deg = {y: sum(1 for x in S if (x + y) in members) for y in T}
-    if len(set(s_deg.values())) != len(S) or len(set(t_deg.values())) != len(T):
+    members, add = A.int_members(), ambient.add
+    # a row of sums has distinct entries, so its degree is an intersection size
+    s_deg = [len(members.intersection([add(x, y) for y in t_ints])) for x in s_ints]
+    t_deg = [len(members.intersection([add(x, y) for x in s_ints])) for y in t_ints]
+    if len(set(s_deg)) != len(S) or len(set(t_deg)) != len(T):
         return None
-    s_seq = sorted(S, key=lambda x: -s_deg[x])
-    t_seq = sorted(T, key=lambda y: t_deg[y])
-    w = Witness(A.ambient, tuple(s_seq), tuple(t_seq))
-    return w if verify_witness(A, w).valid else None
+    s_order = sorted(range(len(S)), key=lambda i: -s_deg[i])
+    t_order = sorted(range(len(T)), key=lambda j: t_deg[j])
+    s_seq = [s_ints[i] for i in s_order]
+    t_seq = [t_ints[j] for j in t_order]
+    if not _verify_ints(members, s_seq, t_seq, add).valid:
+        return None
+    return Witness(ambient, tuple(S[i] for i in s_order), tuple(T[j] for j in t_order))
 
 
 def staircase_check(w: Witness) -> Verdict:
@@ -215,34 +262,29 @@ def staircase_check(w: Witness) -> Verdict:
 
     Valid witnesses force every row and every column of M to be distinct, and
     forbid M_ij = M_i'j' whenever i <= j < i' <= j' (two comparable cells of
-    the upper staircase can never coincide).
+    the upper staircase can never coincide).  Scans the rows, then the
+    columns, then the upper cells row by row, and reports the first collision.
     """
-    if w.ambient.kind != "f2":
-        raise ValueError("staircase check supports F2 ambients only")
-    k = w.k
-    m = [[(w.s[i] + w.t[j]).bits for j in range(k)] for i in range(k)]
-    for i in range(k):
-        row = {}
-        for j in range(k):
-            if m[i][j] in row:
-                return Verdict(False, "row-collision", (i + 1, j + 1))
-            row[m[i][j]] = j
-    for j in range(k):
-        col = {}
-        for i in range(k):
-            if m[i][j] in col:
-                return Verdict(False, "column-collision", (i + 1, j + 1))
-            col[m[i][j]] = i
-    # prefix[c] = values of upper cells (i <= j) with column j <= c
-    prefix: set = set()
-    by_column: list[set] = []
-    for j in range(k):
-        by_column.append(set(prefix))
-        for i in range(j + 1):
-            prefix.add(m[i][j])
-    for i2 in range(k):
-        for j2 in range(i2, k):
-            if m[i2][j2] in by_column[i2]:
+    require_f2(w.ambient, "staircase check")
+    s, t = w.ambient.to_ints(w.s), w.ambient.to_ints(w.t)
+    # M_ij = M_ij' exactly when t_j = t_j', so the first row collision lies in
+    # row 1 at the first repeated t; likewise for columns and s
+    repeat = _first_repeat(t)
+    if repeat:
+        return Verdict(False, "row-collision", (1, repeat[1]))
+    repeat = _first_repeat(s)
+    if repeat:
+        return Verdict(False, "column-collision", (repeat[1], 1))
+    # first_col[v]: the first column holding v as an upper cell (i <= j);
+    # cell (i2, j2) repeats an upper cell of a column before i2 exactly when
+    # first_col of its value is below i2
+    first_col: dict[int, int] = {}
+    for j in reversed(range(len(t))):
+        tj = t[j]
+        first_col.update({si ^ tj: j for si in s[: j + 1]})
+    for i2, si in enumerate(s):
+        for j2 in range(i2, len(t)):
+            if first_col[si ^ t[j2]] < i2:
                 return Verdict(False, "staircase-collision", (i2 + 1, j2 + 1))
     return Verdict(True)
 
@@ -257,14 +299,12 @@ def staircase_check(w: Witness) -> Verdict:
 # hence s_i in t_i + A, a subset of A + A + A.
 
 
-def _require_f2(A: FiniteSet) -> int:
-    if A.ambient.kind != "f2":
-        raise ValueError("exact search supports F2 ambients only")
-    return A.ambient.n
-
-
-def _lex_sorted(bits: Iterable[int], n: int) -> list[int]:
-    return [v.bits for v in sort_vectors(BitVector(n, b) for b in bits)]
+def _confined_domains(members: frozenset[int], n: int) -> tuple[list[int], list[int]]:
+    """A + A and A + A + A in lexicographic order: the global domains of the
+    later t's and of every s."""
+    aa = {a ^ b for a in members for b in members}
+    aaa = {a ^ b for a in aa for b in members}
+    return lex_sorted(aa, n), lex_sorted(aaa, n)
 
 
 class _Timeout(Exception):
@@ -280,19 +320,20 @@ def max_order_exact(
 
     Depth-first search over rounds r = 1..k, choosing t_r then s_r from the
     confined domains t_r in the intersection of s_i + A over i < r (t_1 = 0)
-    and s_r in (t_r + A) minus the union of t_j + A over j < r.  Pruning:
-    entry distinctness, diagonal distinctness, staircase distinctness, the
-    cardinality cap k <= |A|, and a branch bound by the remaining t-domain.
-    On hitting time_limit (wall clock) or node_limit (deterministic budget)
-    the best witness found so far is reported as a lower bound.
+    and s_r in (t_r + A) minus the union of t_j + A over j < r.  Those
+    domains satisfy every cell of the definition, which already makes the
+    entries, the diagonal and the upper staircase distinct; the only other
+    prunes are the cardinality cap k <= |A| and a branch bound by the
+    remaining t-domain.  On hitting time_limit (wall clock) or node_limit
+    (deterministic budget) the best witness found so far is reported as a
+    lower bound.
     """
-    n = _require_f2(A)
+    n = require_f2(A.ambient, "exact search")
     start = time.monotonic()
-    members = frozenset(x.bits for x in A.elements)
+    members = A.int_members()
     ncap = len(members)
-    empty = Witness(A.ambient, (), ())
     if not members:
-        return SolveReport(0, empty, 0, time.monotonic() - start, "exact")
+        return SolveReport(0, Witness(A.ambient, (), ()), 0, time.monotonic() - start, "exact")
 
     shifted = {}  # g -> frozenset(g + A)
 
@@ -310,10 +351,7 @@ def max_order_exact(
 
     s_seq: list[int] = []
     t_seq: list[int] = []
-    s_used: set[int] = set()
     union_t: set[int] = set()  # union of t_j + A over chosen j
-    diag: set[int] = set()
-    upper_prefix: list[set[int]] = [set()]
 
     def out_of_budget() -> bool:
         if node_limit is not None and nodes >= node_limit:
@@ -331,40 +369,23 @@ def max_order_exact(
         if r > 1 and len(s_seq) + len(t_domain) <= best_k:
             return
         for t in t_domain:
-            # staircase: the new cells (i, r), i < r, must avoid every upper
-            # value in columns before i (implied by the domains; kept as a
-            # guard so the search never depends on that argument)
-            if any((s_seq[i] ^ t) in upper_prefix[i] for i in range(r - 1)):
-                continue
             if out_of_budget():
                 raise _Timeout
-            s_domain = _lex_sorted(
-                (a for a in shift(t) if a not in union_t and a not in s_used), n
-            )
-            for s in s_domain:
-                d = s ^ t
-                if d in diag or d in upper_prefix[r - 1]:
-                    continue
+            # s_r's domain, and what t_r adds to the union
+            fresh = shift(t) - union_t
+            for s in lex_sorted(fresh, n):
                 nodes += 1
                 s_seq.append(s)
                 t_seq.append(t)
-                s_used.add(s)
-                added_union = shift(t) - union_t
-                union_t.update(added_union)
-                diag.add(d)
-                new_upper = {s_seq[i] ^ t for i in range(r)}
-                upper_prefix.append(upper_prefix[-1] | new_upper)
+                union_t.update(fresh)
                 if r > best_k:
                     best_k, best_s, best_t = r, list(s_seq), list(t_seq)
                 if r == 1:
-                    sub_domain = _lex_sorted(shift(s) - {0}, n)
+                    sub_domain = lex_sorted(shift(s) - {0}, n)
                 else:
                     sub_domain = [u for u in t_domain if u != t and u in shift(s)]
                 descend(sub_domain)
-                upper_prefix.pop()
-                diag.discard(d)
-                union_t.difference_update(added_union)
-                s_used.discard(s)
+                union_t.difference_update(fresh)
                 s_seq.pop()
                 t_seq.pop()
                 if best_k == ncap:
@@ -376,11 +397,7 @@ def max_order_exact(
     except _Timeout:
         status = "lower-bound-only"
 
-    witness = Witness(
-        A.ambient,
-        tuple(BitVector(n, b) for b in best_s),
-        tuple(BitVector(n, b) for b in best_t),
-    )
+    witness = Witness.from_bits(n, best_s, best_t)
     return SolveReport(best_k, witness, nodes, time.monotonic() - start, status)
 
 
@@ -392,16 +409,13 @@ def max_order_bruteforce(A: FiniteSet) -> int:
     definition on its new row and column, with no incremental domain logic.
     Guarded to |A| <= 8 and n <= 5.
     """
-    n = _require_f2(A)
+    n = require_f2(A.ambient, "exact search")
     if A.N > 8 or n > 5:
         raise ValueError("brute-force oracle guarded to |A| <= 8 and n <= 5")
     if not A.elements:
         return 0
-    members = frozenset(x.bits for x in A.elements)
-    aa = frozenset(a ^ b for a in members for b in members)
-    aaa = frozenset(a ^ b for a in aa for b in members)
-    t_candidates = _lex_sorted(aa, n)
-    s_candidates = _lex_sorted(aaa, n)
+    members = A.int_members()
+    t_candidates, s_candidates = _confined_domains(members, n)
 
     def new_cells_ok(ss: list[int], tt: list[int]) -> bool:
         r = len(ss) - 1  # 0-based index of the appended pair
@@ -467,21 +481,14 @@ class CnfLayout:
 
 
 def cnf_layout(A: FiniteSet, k: int) -> CnfLayout:
-    n = _require_f2(A)
+    n = require_f2(A.ambient, "exact search")
     if k < 1:
         raise ValueError("k must be at least 1")
-    members = frozenset(x.bits for x in A.elements)
+    members = A.int_members()
     if not members:
         return CnfLayout(n, k, (), (), ())
-    aa = frozenset(a ^ b for a in members for b in members)
-    aaa = frozenset(a ^ b for a in aa for b in members)
-    return CnfLayout(
-        n,
-        k,
-        tuple(_lex_sorted(aaa, n)),
-        (0,),
-        tuple(_lex_sorted(aa, n)),
-    )
+    t_domain, s_domain = _confined_domains(members, n)
+    return CnfLayout(n, k, tuple(s_domain), (0,), tuple(t_domain))
 
 
 def export_cnf(A: FiniteSet, k: int) -> str:
@@ -489,19 +496,18 @@ def export_cnf(A: FiniteSet, k: int) -> str:
 
     One-hot selection variables pick each s_i from A + A + A and each t_j
     from A + A (t_1 is pinned to 0 by translation); clauses forbid any pair
-    of choices violating a cell of the definition, and force pairwise
-    distinct values within each role.  Header comments carry the layout and
+    of choices violating a cell of the definition.  Those cell clauses
+    already force distinct entries (a repeated s or t breaks a cell), so no
+    distinctness clauses are emitted.  Header comments carry the layout and
     the candidate values so that a model decodes back into a witness.
     """
     layout = cnf_layout(A, k)
-    n, members = layout.n, frozenset(x.bits for x in A.elements)
-    clauses: list[list[int]] = []
+    n, members = layout.n, A.int_members()
+    clauses: list[str] = []
 
     def one_hot(var_ids: list[int]) -> None:
-        clauses.append(list(var_ids))
-        for x in range(len(var_ids)):
-            for y in range(x + 1, len(var_ids)):
-                clauses.append([-var_ids[x], -var_ids[y]])
+        clauses.append(" ".join(map(str, var_ids)) + " 0")
+        clauses.extend(f"-{x} -{y} 0" for x, y in combinations(var_ids, 2))
 
     def t_dom(j: int) -> tuple[int, ...]:
         return layout.t1_domain if j == 1 else layout.t_domain
@@ -511,29 +517,28 @@ def export_cnf(A: FiniteSet, k: int) -> str:
     for j in range(1, k + 1):
         one_hot([layout.t_var(j, b) for b in range(len(t_dom(j)))])
 
+    def split(dom: tuple[int, ...]) -> list[tuple[list[int], list[int]]]:
+        """Per s-candidate: the t-indices whose sum with it lies in A, and the rest."""
+        out = []
+        for sval in layout.s_domain:
+            hits = [(sval ^ tval) in members for tval in dom]
+            out.append(
+                ([b for b, h in enumerate(hits) if h], [b for b, h in enumerate(hits) if not h])
+            )
+        return out
+
+    cells = {1: split(layout.t1_domain), 2: split(layout.t_domain)}
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            want_in = i <= j
-            dom = t_dom(j)
-            for a, sval in enumerate(layout.s_domain):
-                for b, tval in enumerate(dom):
-                    if ((sval ^ tval) in members) != want_in:
-                        clauses.append([-layout.s_var(i, a), -layout.t_var(j, b)])
-
-    for i1 in range(1, k + 1):
-        for i2 in range(i1 + 1, k + 1):
-            for a in range(len(layout.s_domain)):
-                clauses.append([-layout.s_var(i1, a), -layout.s_var(i2, a)])
-    for j1 in range(1, k + 1):
-        for j2 in range(j1 + 1, k + 1):
-            d1, d2 = t_dom(j1), t_dom(j2)
-            for b1, v1 in enumerate(d1):
-                for b2, v2 in enumerate(d2):
-                    if v1 == v2:
-                        clauses.append([-layout.t_var(j1, b1), -layout.t_var(j2, b2)])
+            t_base = layout.t_var(j, 0)
+            for a, (inside, outside) in enumerate(cells[min(j, 2)]):
+                s_lit = -layout.s_var(i, a)
+                # a cell with i <= j bans the pairs that miss A, else those that hit it
+                banned = outside if i <= j else inside
+                clauses.extend(f"{s_lit} -{t_base + b} 0" for b in banned)
 
     def fmt(bits: int) -> str:
-        return BitVector(n, bits).to_string()
+        return lex_key(bits, n)
 
     lines = [
         "c stabset order-property encoding",
@@ -547,9 +552,8 @@ def export_cnf(A: FiniteSet, k: int) -> str:
         "c t1dom " + " ".join(fmt(v) for v in layout.t1_domain),
         "c tdom " + " ".join(fmt(v) for v in layout.t_domain),
         f"p cnf {layout.var_count} {len(clauses)}",
+        *clauses,
     ]
-    for cl in clauses:
-        lines.append(" ".join(str(lit) for lit in cl) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -575,8 +579,4 @@ def decode_cnf_model(A: FiniteSet, k: int, true_vars: Iterable[int]) -> Witness:
                 t_vals[j - 1] = val
     if any(v is None for v in s_vals) or any(v is None for v in t_vals):
         raise ValueError("model leaves a role unassigned")
-    return Witness(
-        A.ambient,
-        tuple(BitVector(n, v) for v in s_vals),
-        tuple(BitVector(n, v) for v in t_vals),
-    )
+    return Witness.from_bits(n, s_vals, t_vals)

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from stabset.gf2 import BitVector, rank_rows, nullspace_rows
-from stabset.orderprop import FiniteSet, Witness, verify_witness
+from stabset.gf2 import BitVector, lex_key, nullspace_rows, rank_rows
+from stabset.orderprop import FiniteSet, Witness, require_f2, verify_witness
 
 MAX_POINTSPACE_DIM = 14  # dense enumeration of all 2^n points beyond this is off the desk
 
@@ -34,7 +34,8 @@ def monomial_space_dim(n: int, d: int) -> int:
 class MonomialBasis:
     """Monomials x -> prod_{i in I} x_i with |I| <= d, in degree-then-lex order.
 
-    Monomials are stored as coordinate masks (bit i-1 for coordinate i).
+    Monomials are stored as coordinate masks (bit i-1 for coordinate i).  Within
+    one degree, lex order of the support tuples I is descending lex_key order.
     """
 
     def __init__(self, n: int, d: int):
@@ -43,11 +44,13 @@ class MonomialBasis:
         self.n = n
         self.d = d
         masks = [m for m in range(1 << n) if m.bit_count() <= d]
-        masks.sort(key=lambda m: (m.bit_count(), _support_tuple(m)))
+        masks.sort(key=lambda m: lex_key(m, n), reverse=True)
+        masks.sort(key=int.bit_count)  # stable: keeps the order within a degree
         self.monomials: tuple[int, ...] = tuple(masks)
         self.index: dict[int, int] = {m: i for i, m in enumerate(masks)}
         self.dim = len(masks)
-        assert self.dim == monomial_space_dim(n, d)
+        if self.dim != monomial_space_dim(n, d):
+            raise AssertionError(f"{self.dim} monomials, expected {monomial_space_dim(n, d)}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialBasis) and (self.n, self.d) == (other.n, other.d)
@@ -64,17 +67,6 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
     if n > MAX_POINTSPACE_DIM:
         raise ValueError(f"n = {n} exceeds dense guard {MAX_POINTSPACE_DIM}")
     return MonomialBasis(n, d)
-
-
-def _support_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
 
 
 @lru_cache(maxsize=32)
@@ -108,9 +100,6 @@ class Poly2:
     def __post_init__(self) -> None:
         if not 0 <= self.coeffs < (1 << self.basis.dim):
             raise ValueError("coefficient vector does not fit the basis")
-
-    def is_zero(self) -> bool:
-        return self.coeffs == 0
 
     def __add__(self, other: "Poly2") -> "Poly2":
         if self.basis != other.basis:
@@ -203,10 +192,9 @@ def entropy_tail_check(n: int, p: Rational) -> TailCheck:
 # ---------------------------------------------------------------------------
 
 
-def _require_f2(A: FiniteSet) -> int:
-    if A.ambient.kind != "f2":
-        raise ValueError("polynomial certificates support F2 ambients only")
-    n = A.ambient.n
+def _dense_dim(A: FiniteSet) -> int:
+    """A's dimension, refused above MAX_POINTSPACE_DIM."""
+    n = require_f2(A.ambient, "polynomial certificates")
     if n > MAX_POINTSPACE_DIM:
         raise ValueError(f"n = {n} exceeds dense guard {MAX_POINTSPACE_DIM}")
     return n
@@ -218,9 +206,9 @@ def vanishing_space(A: FiniteSet, d: int) -> list[Poly2]:
     Kernel of the evaluation matrix with one row per point outside A and one
     column per monomial, so the dimension is at least dim S - |complement|.
     """
-    n = _require_f2(A)
+    n = _dense_dim(A)
     basis = monomial_basis(n, d)
-    members = {x.bits for x in A.elements}
+    members = A.int_members()
     rows = []
     for point in range(1 << n):
         if point in members:
@@ -277,10 +265,12 @@ def max_support_polynomial(space: list[Poly2]) -> tuple[Poly2, frozenset[BitVect
             c >>= 1
             b += 1
         new_table = current_table ^ addition_table
-        assert new_table.bit_count() > current_table.bit_count()
+        if new_table.bit_count() <= current_table.bit_count():
+            raise AssertionError("support failed to grow")
         current ^= addition
         current_table = new_table
-    assert current_table.bit_count() >= len(space)
+    if current_table.bit_count() < len(space):
+        raise AssertionError("maximal support smaller than the space dimension")
     poly = Poly2(basis, current)
     support = frozenset(
         BitVector(n, x)
@@ -343,7 +333,7 @@ def rank_certificate(A: FiniteSet, w: Witness, p: Rational) -> RankCertificate:
     p must lie in (1/2, 1] with p*n integral; an odd p*n makes d even, and
     even p*n is accepted with the floor degree split.
     """
-    n = _require_f2(A)
+    n = _dense_dim(A)
     verdict = verify_witness(A, w)
     if not verdict.valid:
         raise ValueError(f"witness invalid: {verdict.describe()}")
@@ -357,12 +347,14 @@ def rank_certificate(A: FiniteSet, w: Witness, p: Rational) -> RankCertificate:
     poly, support = max_support_polynomial(space)
     table = poly.value_table()
     k = w.k
+    s = [x.bits for x in w.s]
+    t = [x.bits for x in w.t]
     rows = []
     diagonal_hits = 0
     for i in range(k):
         row = 0
         for j in range(k):
-            if (table >> (w.s[i] + w.t[j]).bits) & 1:
+            if (table >> (s[i] ^ t[j])) & 1:
                 row |= 1 << j
         if (row >> i) & 1:
             diagonal_hits += 1
@@ -370,13 +362,15 @@ def rank_certificate(A: FiniteSet, w: Witness, p: Rational) -> RankCertificate:
     rank = rank_rows(rows, k)
     # cross-check with the transposed matrix; row and column rank agree
     cols = [sum(((rows[i] >> j) & 1) << i for i in range(k)) for j in range(k)]
-    assert rank == rank_rows(cols, k)
+    if rank != rank_rows(cols, k):
+        raise AssertionError("row rank and column rank disagree")
     upper = 2 * monomial_space_dim(n, d // 2)
-    assert diagonal_hits <= rank <= upper
+    if not diagonal_hits <= rank <= upper:
+        raise AssertionError(f"rank sandwich fails: {diagonal_hits} <= {rank} <= {upper}")
     # when the degree cap leaves less than k/2 of the cube uncovered, at
     # least half the diagonal survives in the support
-    if 2 * ((1 << n) - monomial_space_dim(n, d)) <= k:
-        assert 2 * diagonal_hits >= k
+    if 2 * ((1 << n) - monomial_space_dim(n, d)) <= k and 2 * diagonal_hits < k:
+        raise AssertionError(f"only {diagonal_hits} of {k} diagonal cells survive")
     return RankCertificate(
         n=n,
         d=d,

@@ -1,0 +1,15 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+import stabset
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so every check on a result raises
+    found = []
+    for path in sorted(Path(stabset.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
