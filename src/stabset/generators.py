@@ -57,8 +57,7 @@ CSV_HEADER = "instance-id,N,n,kmax,status,runtime"
 def random_subset(n: int, size: int, rng: random.Random) -> FiniteSet:
     if size > 1 << n:
         raise ValueError(f"size {size} exceeds 2^{n}")
-    picks = rng.sample(range(1 << n), size)
-    return FiniteSet.f2(n, [BitVector(n, b) for b in picks])
+    return FiniteSet.from_bits(n, rng.sample(range(1 << n), size))
 
 
 def random_subspace(n: int, dim: int, rng: random.Random) -> FiniteSet:
@@ -76,7 +75,7 @@ def binary_encoded_range(n: int, size: int) -> FiniteSet:
     """The first `size` integers written in binary inside F2^n."""
     if size > 1 << n:
         raise ValueError(f"size {size} exceeds 2^{n}")
-    return FiniteSet.f2(n, [BitVector(n, b) for b in range(size)])
+    return FiniteSet.from_bits(n, range(size))
 
 
 def _instances(spec: SweepSpec):

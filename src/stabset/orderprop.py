@@ -517,25 +517,19 @@ def export_cnf(A: FiniteSet, k: int) -> str:
     for j in range(1, k + 1):
         one_hot([layout.t_var(j, b) for b in range(len(t_dom(j)))])
 
-    def split(dom: tuple[int, ...]) -> list[tuple[list[int], list[int]]]:
-        """Per s-candidate: the t-indices whose sum with it lies in A, and the rest."""
-        out = []
-        for sval in layout.s_domain:
-            hits = [(sval ^ tval) in members for tval in dom]
-            out.append(
-                ([b for b, h in enumerate(hits) if h], [b for b, h in enumerate(hits) if not h])
-            )
-        return out
-
-    cells = {1: split(layout.t1_domain), 2: split(layout.t_domain)}
+    # hits[dom][a][b]: whether s_domain[a] + dom[b] lies in A
+    hits = {
+        dom: [[(sval ^ tval) in members for tval in dom] for sval in layout.s_domain]
+        for dom in (layout.t1_domain, layout.t_domain)
+    }
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            t_base = layout.t_var(j, 0)
-            for a, (inside, outside) in enumerate(cells[min(j, 2)]):
+            want_in, t_base = i <= j, layout.t_var(j, 0)
+            for a, row in enumerate(hits[t_dom(j)]):
                 s_lit = -layout.s_var(i, a)
-                # a cell with i <= j bans the pairs that miss A, else those that hit it
-                banned = outside if i <= j else inside
-                clauses.extend(f"{s_lit} -{t_base + b} 0" for b in banned)
+                clauses.extend(
+                    f"{s_lit} -{t_base + b} 0" for b, hit in enumerate(row) if hit != want_in
+                )
 
     def fmt(bits: int) -> str:
         return lex_key(bits, n)
