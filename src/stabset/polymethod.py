@@ -232,7 +232,6 @@ def max_support_polynomial(space: list[Poly2]) -> tuple[Poly2, frozenset[BitVect
     if not space:
         raise ValueError("vanishing space is trivial")
     basis = space[0].basis
-    n = basis.n
     tables = [poly.value_table() for poly in space]
     current = space[0].coeffs
     current_table = tables[0]
@@ -272,12 +271,7 @@ def max_support_polynomial(space: list[Poly2]) -> tuple[Poly2, frozenset[BitVect
     if current_table.bit_count() < len(space):
         raise AssertionError("maximal support smaller than the space dimension")
     poly = Poly2(basis, current)
-    support = frozenset(
-        BitVector(n, x)
-        for x in range(1 << n)
-        if (current_table >> x) & 1
-    )
-    return poly, support
+    return poly, poly.support()
 
 
 @dataclass(frozen=True)
