@@ -92,7 +92,7 @@ class FiniteSet:
 
     @classmethod
     def from_bits(cls, n: int, bits: Iterable[int]) -> "FiniteSet":
-        return cls.f2(n, (BitVector(n, b) for b in bits))
+        return cls.f2(n, [BitVector(n, b) for b in bits])
 
     @classmethod
     def z(cls, elements: Iterable[int]) -> "FiniteSet":
