@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabset.constructions import dyadic_construction
-from stabset.gf2 import BitVector
+from stabset.constructions import dyadic_construction, pad_to_size
+from stabset.gf2 import BitVector, nullspace_rows
 from stabset.modelling import compress
 from stabset.orderprop import FiniteSet, Witness, ambient_f2
 from stabset.polymethod import (
@@ -27,6 +28,47 @@ from stabset.polymethod import (
 
 def bv(text: str) -> BitVector:
     return BitVector.from_string(text)
+
+
+def pin_sets() -> list[FiniteSet]:
+    """For each n <= 7: the empty set, the whole cube and three seeded random sets."""
+    rng = random.Random(22)
+    out = []
+    for n in range(8):
+        size = 1 << n
+        out.append(FiniteSet.from_bits(n, []))
+        out.append(FiniteSet.from_bits(n, range(size)))
+        for _ in range(3):
+            out.append(FiniteSet.from_bits(n, rng.sample(range(size), rng.randint(1, size))))
+    return out
+
+
+def reference_vanishing(A: FiniteSet, d: int) -> list[int]:
+    """Coefficient vectors of the kernel of the evaluation matrix: one row per
+    point off A, one column per monomial of degree <= d."""
+    n = A.ambient.n
+    basis = monomial_basis(n, d)
+    members = A.int_members()
+    rows = [
+        sum(1 << j for j, m in enumerate(basis.monomials) if m & x == m)
+        for x in range(1 << n)
+        if x not in members
+    ]
+    return nullspace_rows(rows, basis.dim)
+
+
+def dyadic2_certificate_row(trim: int = 0, pad_n: int = 0) -> str:
+    """CSV row of the certificate for dyadic l=2, compressed at `trim` or
+    padded to F2^pad_n, with the CLI's default p."""
+    inst = dyadic_construction(2)
+    if trim:
+        res = compress(inst.A, inst.witness, trim)
+        A, w = res.A_prime, res.witness_prime
+    else:
+        padded = pad_to_size(inst, inst.A.N + pad_n - inst.A.ambient.n)
+        A, w = padded.A, padded.witness
+    n = A.ambient.n
+    return rank_certificate(A, w, choose_certificate_p(n, (1 << n) - A.N)).csv_row()
 
 
 class TestMonomialSpace:
@@ -120,7 +162,28 @@ class TestEntropyTailCheck:
             entropy_tail_check(4, 0.7)
 
 
+class TestPoly2:
+    def test_value_table_matches_evaluate(self):
+        rng = random.Random(8)
+        for n in range(9):
+            points = [BitVector(n, x) for x in range(1 << n)]
+            for d in range(n + 1):
+                basis = monomial_basis(n, d)
+                for coeffs in (0, (1 << basis.dim) - 1, rng.getrandbits(basis.dim)):
+                    poly = Poly2(basis, coeffs)
+                    table = poly.value_table()
+                    assert [(table >> x.bits) & 1 for x in points] == [poly.evaluate(x) for x in points]
+                    assert poly.support() == {x for x in points if poly.evaluate(x)}
+
+
 class TestVanishingSpace:
+    def test_matches_monomial_side_reference(self):
+        for A in pin_sets():
+            for d in range(A.ambient.n + 1):
+                space = vanishing_space(A, d)
+                assert all(poly.basis == monomial_basis(A.ambient.n, d) for poly in space)
+                assert [poly.coeffs for poly in space] == reference_vanishing(A, d)
+
     def test_whole_cube_gives_everything(self):
         A = FiniteSet.f2(3, [BitVector(3, b) for b in range(8)])
         space = vanishing_space(A, 2)
@@ -222,6 +285,37 @@ class TestMaxSupportPolynomial:
         for x in universe:
             if x not in A.elements:
                 assert poly.evaluate(x) == 0
+
+
+    def test_pinned_on_seeded_sets(self):
+        # (n, d, A, coefficients, support) for every nonzero space of the pin sets
+        lines = []
+        for A in pin_sets():
+            n = A.ambient.n
+            for d in range(n + 1):
+                space = vanishing_space(A, d)
+                if not space:
+                    continue
+                poly, support = max_support_polynomial(space)
+                assert support == poly.support()
+                members = sorted(A.int_members())
+                lines.append(f"{n} {d} {members} {poly.coeffs:x} {sorted(x.bits for x in support)}")
+        assert len(lines) == 101
+        digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+        assert digest == "3a0cd6b0f667a142a67e7e83830e15270d4ed0f4ecd0e726f895b20c9d966387"
+
+
+# dyadic l=2 compressed at trim l -> certificate CSV row
+CERTIFICATE_TRIM_PINS = {
+    2: "10,8,9/10,138,142,18,19,772,21",
+    4: "9,6,7/9,53,68,6,8,260,17",
+    6: "8,6,7/8,56,58,11,11,186,13",
+}
+
+
+@pytest.mark.parametrize("trim", sorted(CERTIFICATE_TRIM_PINS))
+def test_compressed_dyadic2_certificate_pinned(trim):
+    assert dyadic2_certificate_row(trim=trim) == CERTIFICATE_TRIM_PINS[trim]
 
 
 class TestRankCertificate:
