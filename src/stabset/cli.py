@@ -14,7 +14,12 @@ from typing import Optional, Sequence
 
 from stabset import constructions, fileformats, generators, modelling, polymethod
 from stabset.fileformats import ParseError
-from stabset.orderprop import export_cnf, max_order_exact, verify_witness
+from stabset.orderprop import cnf_clause_count, export_cnf, max_order_exact, verify_witness
+
+#: `--cnf-out` refuses larger encodings.  `export_cnf` holds every clause in
+#: memory; its peak measured 106-116 bytes per clause (0.5M-2.8M clauses,
+#: export plus write), so this cap keeps the export near 450 MB.
+MAX_CNF_CLAUSES = 4_000_000
 
 
 def _fail(message: str) -> int:
@@ -41,6 +46,9 @@ def cmd_max_order(args: argparse.Namespace) -> int:
         print(f"witness written to {args.witness_out}")
     if args.cnf_out:
         k = args.cnf_k if args.cnf_k is not None else max(report.kmax, 1)
+        clauses = cnf_clause_count(A, k)
+        if clauses > MAX_CNF_CLAUSES:
+            return _fail(f"cnf for k={k} would have {clauses} clauses, above the cap of {MAX_CNF_CLAUSES}")
         with open(args.cnf_out, "w", encoding="ascii") as fh:
             fh.write(export_cnf(A, k))
         print(f"cnf for k={k} written to {args.cnf_out}")

@@ -14,6 +14,7 @@ import operator
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Optional, Union
 
 from stabset.gf2 import BitVector, lex_key, lex_sorted
@@ -489,6 +490,28 @@ def cnf_layout(A: FiniteSet, k: int) -> CnfLayout:
         return CnfLayout(n, k, (), (), ())
     t_domain, s_domain = _confined_domains(members, n)
     return CnfLayout(n, k, tuple(s_domain), (0,), tuple(t_domain))
+
+
+def cnf_clause_count(A: FiniteSet, k: int) -> int:
+    """Number of clauses `export_cnf(A, k)` emits, computed without building any.
+
+    A one-hot block over m values has 1 + C(m, 2) clauses.  Cell (i, j) bans
+    the (s_i, t_j) value pairs on the wrong side of A: the misses when i <= j
+    and the hits otherwise.
+    """
+    layout = cnf_layout(A, k)
+    members = A.int_members()
+    s_values = frozenset(layout.s_domain)
+    count = sum(
+        1 + comb(len(dom), 2)
+        for dom in (layout.s_domain,) * k + (layout.t1_domain,) + (layout.t_domain,) * (k - 1)
+    )
+    for dom, columns in ((layout.t1_domain, [1]), (layout.t_domain, range(2, k + 1))):
+        # s + t lies in A exactly when s = a + t for some a in A
+        hits = sum(1 for t in dom for a in members if a ^ t in s_values)
+        misses = len(layout.s_domain) * len(dom) - hits
+        count += sum(j * misses + (k - j) * hits for j in columns)
+    return count
 
 
 def export_cnf(A: FiniteSet, k: int) -> str:

@@ -163,6 +163,19 @@ class TestMaxOrderCommand:
         assert not dpll.satisfiable(cnf_path.read_text())
 
 
+    def test_cnf_above_cap_refused(self, tmp_path, capsys):
+        # dyadic l=2 at k=10 (the order the solver finds within 20000 nodes)
+        # would take about 51.8M clauses
+        inst = dyadic_construction(2)
+        set_path = tmp_path / "d2.set"
+        write_set(set_path, inst.A)
+        cnf_path = tmp_path / "d2.cnf"
+        argv = ["max-order", str(set_path), "--node-limit", "1", "--cnf-out", str(cnf_path), "--cnf-k", "10"]
+        assert main(argv) == 2
+        assert "51841716 clauses" in capsys.readouterr().err
+        assert not cnf_path.exists()
+
+
 class TestConstructCommand:
     def test_ap_then_verify(self, tmp_path):
         sp, wp = str(tmp_path / "a.set"), str(tmp_path / "a.wit")

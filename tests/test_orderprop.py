@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from stabset.orderprop import (
     Witness,
     ambient_f2,
     canonical_enumeration,
+    cnf_clause_count,
     cnf_layout,
     decode_cnf_model,
     export_cnf,
@@ -368,6 +370,18 @@ class TestCnfExport:
             assert layout.var_count == expected
             nvars, _ = dpll.parse_dimacs(export_cnf(A, k))
             assert nvars == expected
+
+    def test_clause_count_matches_header(self):
+        rng = random.Random(6)
+        sets = [FiniteSet.f2(2, []), f2set(1, "0", "1")]
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            sets.append(FiniteSet.from_bits(n, rng.sample(range(1 << n), rng.randint(1, 1 << n))))
+        for A in sets:
+            for k in (1, 2, 4):
+                text = export_cnf(A, k)
+                header = text[text.index("\np cnf ") + 1 :].split("\n", 1)[0].split()
+                assert cnf_clause_count(A, k) == int(header[3])
 
     def test_empty_set_unsat(self):
         text = export_cnf(FiniteSet.f2(2, []), 1)

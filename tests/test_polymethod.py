@@ -2,12 +2,14 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabset.constructions import dyadic_construction, pad_to_size
+from stabset import polymethod
 from stabset.gf2 import BitVector, nullspace_rows
 from stabset.modelling import compress
 from stabset.orderprop import FiniteSet, Witness, ambient_f2
@@ -318,6 +320,19 @@ def test_compressed_dyadic2_certificate_pinned(trim):
     assert dyadic2_certificate_row(trim=trim) == CERTIFICATE_TRIM_PINS[trim]
 
 
+# dyadic l=2 padded to F2^n -> certificate CSV row (n=12 is the benchmark's pin)
+CERTIFICATE_PAD_PINS = {
+    11: "11,8,9/11,117,132,16,20,1124,24",
+    12: "12,10,11/12,157,168,24,24,3172,24",
+    14: "14,12,13/14,157,168,24,24,12952,24",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CERTIFICATE_PAD_PINS))
+def test_padded_dyadic2_certificate_pinned(n):
+    assert dyadic2_certificate_row(pad_n=n) == CERTIFICATE_PAD_PINS[n]
+
+
 class TestRankCertificate:
     def test_order_one(self):
         A = FiniteSet.f2(2, [bv("00"), bv("01")])
@@ -360,6 +375,23 @@ class TestRankCertificate:
         cert = rank_certificate(A, w, 1)
         row = cert.csv_row()
         assert len(row.split(",")) == len(cert.CSV_HEADER.split(","))
+
+    def test_polynomial_not_vanishing_off_a_raises(self, monkeypatch):
+        A = FiniteSet.f2(2, [bv("00"), bv("01")])
+        w = Witness(ambient_f2(2), (bv("00"),), (bv("00"),))
+        one = Poly2(monomial_basis(2, 0), 1)  # nonzero at 10 and 11, off A
+        monkeypatch.setattr(polymethod, "max_support_polynomial", lambda space: (one, one.support()))
+        with pytest.raises(AssertionError, match="does not vanish off A"):
+            rank_certificate(A, w, 1)
+
+    def test_matrix_nonzero_below_diagonal_raises(self, monkeypatch):
+        # s_2 + t_1 = 01 lies in A, so the witness breaks cell (2, 1); with
+        # verification bypassed, the maximal polynomial 1 + x_1 is nonzero there
+        A = FiniteSet.f2(2, [bv("00"), bv("01")])
+        w = Witness(ambient_f2(2), (bv("00"), bv("01")), (bv("00"), bv("10")))
+        monkeypatch.setattr(polymethod, "verify_witness", lambda A, w: SimpleNamespace(valid=True))
+        with pytest.raises(AssertionError, match="below the diagonal"):
+            rank_certificate(A, w, 1)
 
     def test_diagonal_majority_when_degree_covers(self):
         # with d = n - 1 the uncovered tail is a single monomial, so the
