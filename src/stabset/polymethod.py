@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
@@ -56,14 +56,15 @@ class MonomialBasis:
         if self.dim != monomial_space_dim(n, d):
             raise AssertionError(f"{self.dim} monomials, expected {monomial_space_dim(n, d)}")
 
-    @cached_property
     def scatter(self) -> Callable[[int], int]:
-        """Coefficient vector -> 2^n-bit table with bit m set for each monomial m present."""
+        """The map from a coefficient vector to the 2^n-bit table with bit m
+        set for each monomial m present.  Built per call, not cached: at
+        n=14 it holds 16384 indices."""
         return _bit_permutation([self.index.get(x, self.dim) for x in range(1 << self.n)], self.dim)
 
-    @cached_property
     def gather(self) -> Callable[[int], int]:
-        """2^n-bit coefficient table -> coefficient vector (bits off the basis are dropped)."""
+        """The map from a 2^n-bit coefficient table to the coefficient vector
+        (bits off the basis are dropped)."""
         return _bit_permutation(self.monomials, 1 << self.n)
 
     def __eq__(self, other) -> bool:
@@ -151,7 +152,7 @@ class Poly2:
 
     def value_table(self) -> int:
         """All 2^n values at once: bit x of the result is the value at point x."""
-        return _subset_parity_transform(self.basis.scatter(self.coeffs), self.basis.n)
+        return _subset_parity_transform(self.basis.scatter()(self.coeffs), self.basis.n)
 
     def support(self) -> frozenset[BitVector]:
         n = self.basis.n
@@ -219,14 +220,14 @@ def vanishing_space(A: FiniteSet, d: int) -> list[Poly2]:
     """Canonical basis of the degree-<= d polynomials vanishing off A.
 
     Solved on the point side (Reed-Muller duality; MacWilliams & Sloane, The
-    Theory of Error-Correcting Codes, ch. 13): a polynomial vanishing off A is
-    its value table f restricted to A, and its coefficient at monomial m is
-    the XOR of f(a) over the points a <= m of A.  So the unknowns are the |A|
-    values, with one constraint per monomial of degree > d.  Each kernel
-    vector goes back to coefficients by the subset-parity transform (its own
-    inverse over F2), and one reduction puts the basis in reduced echelon
-    form, which is unique for the subspace.  The dimension is at least
-    dim S - |complement|.
+    Theory of Error-Correcting Codes, ch. 13): a polynomial vanishing off A
+    is given by its values f(a) on A, and its coefficient at monomial m is
+    the XOR of f(a) over the points a of A with a & m == a.  So the unknowns
+    are the |A| values, with one constraint per monomial of degree > d.
+    Each kernel vector goes back to coefficients by the subset-parity
+    transform (its own inverse over F2), and one reduction puts the basis in
+    reduced echelon form, which is unique for the subspace.  The dimension
+    is at least dim S - |complement|.
     """
     n = _dense_dim(A)
     basis = monomial_basis(n, d)
@@ -238,8 +239,9 @@ def vanishing_space(A: FiniteSet, d: int) -> list[Poly2]:
     ]
     position = {a: i for i, a in enumerate(pts)}
     scatter = _bit_permutation([position.get(x, len(pts)) for x in range(1 << n)], len(pts))
+    gather = basis.gather()
     coeffs = [
-        basis.gather(_subset_parity_transform(scatter(values), n))
+        gather(_subset_parity_transform(scatter(values), n))
         for values in nullspace_rows(rows, len(pts))
     ]
     return [Poly2(basis, c) for c in rref_rows(coeffs, basis.dim)[0]]
@@ -258,7 +260,8 @@ def max_support_polynomial(space: list[Poly2]) -> tuple[Poly2, frozenset[BitVect
     if not space:
         raise ValueError("vanishing space is trivial")
     basis = space[0].basis
-    tables = [poly.value_table() for poly in space]
+    scatter = basis.scatter()  # the work of value_table, with the map built once
+    tables = [_subset_parity_transform(scatter(poly.coeffs), basis.n) for poly in space]
     union = 0
     for table in tables:
         union |= table
