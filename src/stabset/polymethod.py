@@ -62,11 +62,6 @@ class MonomialBasis:
         n=14 it holds 16384 indices."""
         return _bit_permutation([self.index.get(x, self.dim) for x in range(1 << self.n)], self.dim)
 
-    def gather(self) -> Callable[[int], int]:
-        """The map from a 2^n-bit coefficient table to the coefficient vector
-        (bits off the basis are dropped)."""
-        return _bit_permutation(self.monomials, 1 << self.n)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialBasis) and (self.n, self.d) == (other.n, other.d)
 
@@ -239,7 +234,7 @@ def vanishing_space(A: FiniteSet, d: int) -> list[Poly2]:
     ]
     position = {a: i for i, a in enumerate(pts)}
     scatter = _bit_permutation([position.get(x, len(pts)) for x in range(1 << n)], len(pts))
-    gather = basis.gather()
+    gather = _bit_permutation(basis.monomials, 1 << n)  # coefficient table -> basis order
     coeffs = [
         gather(_subset_parity_transform(scatter(values), n))
         for values in nullspace_rows(rows, len(pts))

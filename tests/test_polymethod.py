@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabset.constructions import dyadic_construction, pad_to_size
 from stabset import polymethod
+from stabset.constructions import dyadic_construction, pad_to_size
 from stabset.gf2 import BitVector, nullspace_rows
 from stabset.modelling import compress
 from stabset.orderprop import FiniteSet, Witness, ambient_f2
@@ -287,7 +287,6 @@ class TestMaxSupportPolynomial:
         for x in universe:
             if x not in A.elements:
                 assert poly.evaluate(x) == 0
-
 
     def test_pinned_on_seeded_sets(self):
         # (n, d, A, coefficients, support) for every nonzero space of the pin sets
