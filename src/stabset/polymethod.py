@@ -22,7 +22,7 @@ from stabset.orderprop import FiniteSet, Witness, require_f2, verify_witness
 
 #: Largest ambient dimension for 2^n-bit value tables and the dense monomial
 #: basis.  At n=14 the certificate of dyadic l=2 padded to F2^14 takes about
-#: 0.24 s on a 2-vCPU VM (132 s when the kernel was solved per monomial).
+#: 0.22 s on a 2-vCPU VM (117 s when the kernel was solved per monomial).
 MAX_POINTSPACE_DIM = 14
 
 Rational = Union[Fraction, float, int]
