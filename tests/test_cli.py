@@ -46,6 +46,12 @@ class TestFileFormats:
         with pytest.raises(ParseError):
             parse_set("stabset v1\ngroup f2 n=3\n01\n")
 
+    @pytest.mark.parametrize("token", ["0_1", "+01"])
+    def test_non_bitstring_rejected(self, token):
+        # int(token, 2) accepts both, so the bitstring check is the only gate
+        with pytest.raises(ParseError):
+            parse_set(f"stabset v1\ngroup f2 n=3\n{token}\n")
+
     def test_witness_roundtrip(self):
         w = Witness(ambient_f2(3), (bv("000"), bv("110")), (bv("001"), bv("100")))
         text = serialize_witness(w)

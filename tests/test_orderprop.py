@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -237,6 +238,26 @@ class TestMaxOrderExact:
         report = max_order_exact(A, node_limit=1)
         assert (report.kmax, report.status, report.nodes_explored) == (1, "lower-bound-only", 1)
         assert strings(report.witness.s) == strings(report.witness.t) == ["0000000000"]
+
+    def test_pinned_random_corpus(self):
+        # kmax, status, node count and witness of 8 seeded 12-subsets of F2^5
+        # (222,921 nodes in all), hashed so the pin stays one line
+        rng = random.Random(5)
+        lines = []
+        for _ in range(8):
+            report = max_order_exact(FiniteSet.from_bits(5, rng.sample(range(32), 12)))
+            w = report.witness
+            lines.append(
+                f"{report.kmax} {report.status} {report.nodes_explored} "
+                f"{' '.join(strings(w.s))} {' '.join(strings(w.t))}"
+            )
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "fdfebe9ee7f71ccb7622790c2ad54f9852f07dd5376676f273009a51b8c3da61"
+
+    def test_pinned_dimension_zero(self):
+        report = max_order_exact(FiniteSet.f2(0, [BitVector(0, 0)]))
+        assert (report.kmax, report.status, report.nodes_explored) == (1, "exact", 1)
+        assert strings(report.witness.s) == strings(report.witness.t) == [""]
 
 
 class TestBruteforceOracle:
