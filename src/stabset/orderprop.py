@@ -323,18 +323,25 @@ def max_order_exact(
     confined domains t_r in the intersection of s_i + A over i < r (t_1 = 0)
     and s_r in (t_r + A) minus the union of t_j + A over j < r.  Those
     domains satisfy every cell of the definition, which already makes the
-    entries, the diagonal and the upper staircase distinct; the only other
-    prunes are the cardinality cap k <= |A| and a branch bound by the
-    remaining t-domain.  On hitting time_limit (wall clock) or node_limit
-    (deterministic budget) the best witness found so far is reported as a
-    lower bound.
+    entries, the diagonal and the upper staircase distinct; the only prune
+    is a branch bound by the remaining t-domain, which also caps k at |A|.
+    On hitting time_limit (wall clock) or node_limit (deterministic budget)
+    the best witness found so far is reported as a lower bound.
+
+    The search runs on bit-reversed vectors, coordinate 1 in the top bit.
+    Reversal commutes with XOR, so every domain is the reversed image of the
+    true one, and ascending int order is the lexicographic order of the
+    bitstrings; the witness is reversed back at the end.
     """
     n = require_f2(A.ambient, "exact search")
     start = time.monotonic()
-    members = A.int_members()
+
+    def reverse(b: int) -> int:
+        # its own inverse; the leading "0" covers n = 0
+        return int("0" + lex_key(b, n), 2)
+
+    members = frozenset(map(reverse, A.int_members()))
     ncap = len(members)
-    if not members:
-        return SolveReport(0, Witness(A.ambient, (), ()), 0, time.monotonic() - start, "exact")
 
     shifted = {}  # g -> frozenset(g + A)
 
@@ -354,43 +361,38 @@ def max_order_exact(
     t_seq: list[int] = []
     union_t: set[int] = set()  # union of t_j + A over chosen j
 
-    def out_of_budget() -> bool:
-        if node_limit is not None and nodes >= node_limit:
-            return True
-        return time_limit is not None and time.monotonic() - start > time_limit
-
     def descend(t_domain: list[int]) -> None:
         # t_domain: candidates for this round's t, already restricted to the
         # intersection of s_i + A over previous rounds, minus the used t's
         # (the first round pins t_1 = 0, so its domain is just [0])
         nonlocal best_k, best_s, best_t, nodes
+        if best_k == ncap or len(s_seq) + len(t_domain) <= best_k:
+            return
         r = len(s_seq) + 1
-        if r > ncap or best_k == ncap:
-            return
-        if r > 1 and len(s_seq) + len(t_domain) <= best_k:
-            return
         for t in t_domain:
-            if out_of_budget():
+            if node_limit is not None and nodes >= node_limit:
+                raise _Timeout
+            if time_limit is not None and time.monotonic() - start > time_limit:
                 raise _Timeout
             # s_r's domain, and what t_r adds to the union
             fresh = shift(t) - union_t
-            for s in lex_sorted(fresh, n):
+            union_t.update(fresh)
+            t_seq.append(t)
+            for s in sorted(fresh):
                 nodes += 1
                 s_seq.append(s)
-                t_seq.append(t)
-                union_t.update(fresh)
                 if r > best_k:
                     best_k, best_s, best_t = r, list(s_seq), list(t_seq)
+                near = shift(s)
                 if r == 1:
-                    sub_domain = lex_sorted(shift(s) - {0}, n)
+                    descend(sorted(near - {0}))
                 else:
-                    sub_domain = [u for u in t_domain if u != t and u in shift(s)]
-                descend(sub_domain)
-                union_t.difference_update(fresh)
-                s_seq.pop()
-                t_seq.pop()
+                    descend([u for u in t_domain if u != t and u in near])
                 if best_k == ncap:
                     return
+                s_seq.pop()
+            union_t.difference_update(fresh)
+            t_seq.pop()
 
     status = "exact"
     try:
@@ -398,7 +400,7 @@ def max_order_exact(
     except _Timeout:
         status = "lower-bound-only"
 
-    witness = Witness.from_bits(n, best_s, best_t)
+    witness = Witness.from_bits(n, map(reverse, best_s), map(reverse, best_t))
     return SolveReport(best_k, witness, nodes, time.monotonic() - start, status)
 
 
