@@ -46,7 +46,7 @@ def _parse_element(token: str, ambient: Ambient):
     if ambient.kind == "f2":
         if len(token) != ambient.n or token.strip("01"):
             raise ParseError(f"bad F2^{ambient.n} element: {token!r}")
-        return BitVector.from_string(token)
+        return BitVector(ambient.n, int(token[::-1], 2))
     try:
         return int(token)
     except ValueError as exc:
@@ -76,15 +76,18 @@ def parse_set(text: str) -> FiniteSet:
     if len(lines) < 2:
         raise ParseError("missing group line")
     ambient = _parse_group_line(lines[1])
+    f2 = ambient.kind == "f2"
     elements = []
-    seen = set()
+    seen = set()  # the ints of the elements so far
     for line in lines[2:]:
-        if not line.strip():
+        token = line.strip()
+        if not token:
             continue
-        x = _parse_element(line.strip(), ambient)
-        if x in seen:
-            raise ParseError(f"duplicate element: {line.strip()!r}")
-        seen.add(x)
+        x = _parse_element(token, ambient)
+        bits = x.bits if f2 else x
+        if bits in seen:
+            raise ParseError(f"duplicate element: {token!r}")
+        seen.add(bits)
         elements.append(x)
     return FiniteSet(ambient, frozenset(elements))
 
