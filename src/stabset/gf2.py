@@ -98,11 +98,6 @@ def lex_key(bits: int, n: int) -> str:
     return format(bits, f"0{n}b")[::-1] if n else ""
 
 
-def sort_vectors(vectors: Iterable[BitVector]) -> list[BitVector]:
-    """Deterministic bitstring-lexicographic order."""
-    return sorted(vectors, key=lambda v: lex_key(v.bits, v.n))
-
-
 def lex_sorted(bits: Iterable[int], n: int) -> list[int]:
     """Vectors of F2^n given as ints, in bitstring-lexicographic order."""
     return sorted(bits, key=lambda b: lex_key(b, n))
@@ -156,13 +151,6 @@ def nullspace_rows(rows: Iterable[int], width: int) -> list[int]:
                 vec |= 1 << piv
         basis.append(vec)
     return rref_rows(basis, width)[0]
-
-
-def in_rowspan(vec: int, reduced: list[int], pivots: list[int]) -> bool:
-    for row, piv in zip(reduced, pivots):
-        if (vec >> piv) & 1:
-            vec ^= row
-    return vec == 0
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +238,10 @@ class Subspace2:
     def size(self) -> int:
         return 1 << self.dim
 
-    def pivots(self) -> list[int]:
-        return [min(b.support()) for b in self.basis]
-
     def __contains__(self, x: BitVector) -> bool:
         if x.n != self.n:
             raise ValueError(f"dimension mismatch: {x.n} vs ambient {self.n}")
-        reduced = [b.bits for b in self.basis]
-        pivots = [p - 1 for p in self.pivots()]
-        return in_rowspan(x.bits, reduced, pivots)
+        return rank_rows([b.bits for b in self.basis] + [x.bits], self.n) == self.dim
 
     def elements(self) -> Iterator[BitVector]:
         """All 2^dim elements, ordered by basis-coefficient counter."""

@@ -22,7 +22,6 @@ from stabset.gf2 import (
     lex_key,
     quotient_map_bits,
     rref_rows,
-    sort_vectors,
     sumset,
 )
 from stabset.orderprop import (
@@ -225,7 +224,7 @@ def petridis_minimizer(
     ratio controls |S + Z + C| <= ratio * |Z + C| for every finite C.
     """
     S = list(S)
-    T = sort_vectors(set(T))
+    T = sorted(set(T))
     if not S or not T:
         raise ValueError("S and T must be nonempty")
     if len(T) > 15:
