@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -121,19 +122,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    spec = generators.SweepSpec(
-        generator=args.generator,
-        n=args.n,
-        size_min=args.size_min,
-        size_max=args.size_max,
-        dim_min=args.dim_min,
-        dim_max=args.dim_max,
-        l_min=args.l_min,
-        l_max=args.l_max,
-        seeds=args.seeds,
-        seed=args.seed,
-        node_limit=args.node_limit,
-    )
+    spec = generators.SweepSpec(**{f.name: getattr(args, f.name) for f in fields(generators.SweepSpec)})
     text = generators.sweep_csv(generators.run_sweep(spec))
     if args.out == "-":
         sys.stdout.write(text)
@@ -217,11 +206,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        return _fail(str(exc))
-    except FileNotFoundError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         return _fail(str(exc))
 
 
