@@ -10,7 +10,8 @@ Convention for the whole library: inside a computation an element of F2^n
 is a plain int plus the width n, and addition is `^`.  `BitVector` appears
 only at the boundary (public arguments, result objects and files): code reads
 `.bits` once on entry and wraps its results once on return.  The one order on
-F2^n is `lex_key`, the canonical bitstring, which every sort uses.
+F2^n is that of `lex_key`, the canonical bitstring.  The exact search sorts
+bit-reversed ints instead, whose int order is the same order.
 """
 
 from __future__ import annotations
