@@ -328,10 +328,9 @@ def max_order_exact(
     On hitting time_limit (wall clock) or node_limit (deterministic budget)
     the best witness found so far is reported as a lower bound.
 
-    The search runs on bit-reversed vectors, coordinate 1 in the top bit.
-    Reversal commutes with XOR, so every domain is the reversed image of the
-    true one, and ascending int order is the lexicographic order of the
-    bitstrings; the witness is reversed back at the end.
+    The search runs on bit-reversed ints (coordinate 1 in the top bit), which
+    XOR like the originals and sort in the bitstrings' lexicographic order;
+    the witness is reversed back at the end.
     """
     n = require_f2(A.ambient, "exact search")
     start = time.monotonic()
