@@ -84,10 +84,10 @@ def parse_set(text: str) -> FiniteSet:
         if not token:
             continue
         x = _parse_element(token, ambient)
-        bits = x.bits if f2 else x
-        if bits in seen:
+        value = x.bits if f2 else x
+        if value in seen:
             raise ParseError(f"duplicate element: {token!r}")
-        seen.add(bits)
+        seen.add(value)
         elements.append(x)
     return FiniteSet(ambient, frozenset(elements))
 

@@ -1,7 +1,6 @@
 """Checks on the library source itself."""
 
 import ast
-import importlib
 from pathlib import Path
 
 import stabset
@@ -20,6 +19,7 @@ def test_trace_targets_exist(monkeypatch):
     # the benchmark's tracer rebinds these names under --trace 1, which no
     # tier-1 test runs; a deleted or renamed one stops it with a KeyError
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    stages = importlib.import_module("stages")
+    import stages
+
     missing = [name for name, owner, attr, *_ in stages.TRACE_TARGETS if attr not in vars(owner)]
     assert missing == []
