@@ -13,7 +13,8 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, count
 from math import comb
 from typing import Callable, Iterable, Optional, Union
 
@@ -312,6 +313,31 @@ class _Timeout(Exception):
     pass
 
 
+def ladder_cap(degrees: Iterable[int]) -> int:
+    """Largest m such that the i-th largest degree is at least m+1-i for every i <= m.
+
+    An m-rung ladder (an order-m witness) needs m vertices on each side with
+    degrees m, m-1, ..., 1 into the other.  With the degrees sorted, d_0 >=
+    d_1 >= ..., and a zero appended, m fails just when some d_j + j < m, so
+    the cap is the least d_j + j.
+    """
+    return min(map(operator.add, sorted(degrees, reverse=True) + [0], count()))
+
+
+class _Translates(dict):
+    """g -> g + A as a 2^n-bit int (bit x set for each member x), built on first lookup."""
+
+    def __init__(self, members: frozenset[int], n: int) -> None:
+        self.members, self.nbytes = members, ((1 << n) + 7) // 8
+
+    def __missing__(self, g: int) -> int:
+        buf = bytearray(self.nbytes)
+        for x in map(g.__xor__, self.members):
+            buf[x >> 3] |= 1 << (x & 7)
+        got = self[g] = int.from_bytes(buf, "little")
+        return got
+
+
 def max_order_exact(
     A: FiniteSet,
     time_limit: Optional[float] = None,
@@ -323,8 +349,12 @@ def max_order_exact(
     confined domains t_r in the intersection of s_i + A over i < r (t_1 = 0)
     and s_r in (t_r + A) minus the union of t_j + A over j < r.  Those
     domains satisfy every cell of the definition, which already makes the
-    entries, the diagonal and the upper staircase distinct; the only prune
-    is a branch bound by the remaining t-domain, which also caps k at |A|.
+    entries, the diagonal and the upper staircase distinct.  A subtree is
+    pruned when it cannot beat the best k: by the size of the t-domain (which
+    also caps k at |A|), then from round 2 on by a two-sided ladder bound,
+    the ladder_cap of the degrees between the t-domain and the s's outside
+    the union.  The search order is kept, so kmax, witness and status of an
+    exact solve do not depend on the prunes; only the node count does.
     On hitting time_limit (wall clock) or node_limit (deterministic budget)
     the best witness found so far is reported as a lower bound.
 
@@ -343,6 +373,7 @@ def max_order_exact(
     ncap = len(members)
 
     shifted = {}  # g -> frozenset(g + A)
+    translates = _Translates(members, n)  # g -> g + A as a 2^n-bit int
 
     def shift(g: int) -> frozenset:
         got = shifted.get(g)
@@ -359,6 +390,7 @@ def max_order_exact(
     s_seq: list[int] = []
     t_seq: list[int] = []
     union_t: set[int] = set()  # union of t_j + A over chosen j
+    union_bits = [0]  # union_t as a bitset after each chosen t, and before the first
 
     def descend(t_domain: list[int]) -> None:
         # t_domain: candidates for this round's t, already restricted to the
@@ -367,6 +399,20 @@ def max_order_exact(
         nonlocal best_k, best_s, best_t, nodes
         if best_k == ncap or len(s_seq) + len(t_domain) <= best_k:
             return
+        if s_seq:
+            # ladder bound on the degrees |(u + A) - union|, then |(s + A) & t_domain|
+            free = ~union_bits[-1]
+            fresh_bits = [translates[u] & free for u in t_domain]
+            if len(s_seq) + ladder_cap(map(int.bit_count, fresh_bits)) <= best_k:
+                return
+            t_bits = sum(map((1).__lshift__, t_domain))
+            candidates, s_degrees = reduce(operator.or_, fresh_bits), []
+            while candidates:  # each set bit is a candidate s
+                low = candidates & -candidates
+                s_degrees.append((translates[low.bit_length() - 1] & t_bits).bit_count())
+                candidates ^= low
+            if len(s_seq) + ladder_cap(s_degrees) <= best_k:
+                return
         r = len(s_seq) + 1
         for t in t_domain:
             if node_limit is not None and nodes >= node_limit:
@@ -376,6 +422,7 @@ def max_order_exact(
             # s_r's domain, and what t_r adds to the union
             fresh = shift(t) - union_t
             union_t.update(fresh)
+            union_bits.append(union_bits[-1] | translates[t])
             t_seq.append(t)
             for s in sorted(fresh):
                 nodes += 1
@@ -391,6 +438,7 @@ def max_order_exact(
                     return
                 s_seq.pop()
             union_t.difference_update(fresh)
+            union_bits.pop()
             t_seq.pop()
 
     status = "exact"

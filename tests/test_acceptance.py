@@ -66,7 +66,7 @@ def criterion_2_solver_oracle_equivalence() -> str:
     start = time.monotonic()
     rng = random.Random(2026)
     checked = 0
-    # the larger sets reach kmax 3-4, where the solver's ladder bound prunes
+    # sets of 6-8 elements reach kmax 3-4 and give the solver's ladder bound more to prune
     for n, count, sizes in ((3, 200, (0, 5)), (4, 50, (0, 5)), (4, 12, (6, 8)), (5, 3, (6, 8))):
         universe = [BitVector(n, b) for b in range(1 << n)]
         for _ in range(count):

@@ -19,6 +19,7 @@ from stabset.orderprop import (
     cnf_layout,
     decode_cnf_model,
     export_cnf,
+    ladder_cap,
     max_order_bruteforce,
     max_order_exact,
     staircase_check,
@@ -224,14 +225,14 @@ class TestMaxOrderExact:
 
     def test_pinned_dyadic_l1(self):
         report = max_order_exact(dyadic_construction(1).A)
-        assert (report.kmax, report.status, report.nodes_explored) == (4, "exact", 1257)
+        assert (report.kmax, report.status, report.nodes_explored) == (4, "exact", 394)
         assert strings(report.witness.s) == ["0000", "0010", "0101", "0110"]
         assert strings(report.witness.t) == ["0000", "0011", "0001", "1001"]
 
     def test_pinned_dyadic_l2_budgets(self):
         A = dyadic_construction(2).A
         report = max_order_exact(A, node_limit=20000)
-        assert (report.kmax, report.status, report.nodes_explored) == (10, "lower-bound-only", 20002)
+        assert (report.kmax, report.status, report.nodes_explored) == (10, "lower-bound-only", 20000)
         assert strings(report.witness.s) == [
             "0000000000", "0000000011", "0000001011", "0010000100", "0110010111",
             "0010101111", "0110101111", "0110001011", "0001101111", "0010101011",
@@ -257,12 +258,25 @@ class TestMaxOrderExact:
             nodes += report.nodes_explored
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "754f5b0389b750571158cb2ba4455ae925370174777b108be9fbdc89c8d83234"
-        assert nodes == 222_921
+        assert nodes == 46_441
 
     def test_pinned_dimension_zero(self):
         report = max_order_exact(FiniteSet.f2(0, [BitVector(0, 0)]))
         assert (report.kmax, report.status, report.nodes_explored) == (1, "exact", 1)
         assert strings(report.witness.s) == strings(report.witness.t) == [""]
+
+
+class TestLadderCap:
+    def test_matches_definition(self):
+        # every non-increasing degree sequence of length <= 6 with entries <= 6,
+        # given in either order, against the definition read literally
+        for length in range(7):
+            for degrees in itertools.combinations_with_replacement(range(6, -1, -1), length):
+                fits = [
+                    m for m in range(length + 1)
+                    if all(degrees[i - 1] >= m + 1 - i for i in range(1, m + 1))
+                ]
+                assert ladder_cap(degrees) == ladder_cap(reversed(degrees)) == max(fits), degrees
 
 
 class TestBruteforceOracle:
