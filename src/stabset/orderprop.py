@@ -313,6 +313,12 @@ class _Timeout(Exception):
     pass
 
 
+#: Largest n for which the exact search runs its ladder bound, whose work per
+#: node grows with 2^n.  On random sets with |A| = 2^n/8 it gained at n=12 and
+#: lost at n=14; on dyadic l=3 (n=16) 20,000 nodes took 18.8 s, not 1.8 s.
+LADDER_MAX_DIM = 12
+
+
 def ladder_cap(degrees: Iterable[int]) -> int:
     """Largest m such that the i-th largest degree is at least m+1-i for every i <= m.
 
@@ -325,16 +331,20 @@ def ladder_cap(degrees: Iterable[int]) -> int:
 
 
 class _Translates(dict):
-    """g -> g + A as a 2^n-bit int (bit x set for each member x), built on first lookup."""
+    """g -> g + A as a 2^n-bit int (bit x set for each member x), built on first lookup.
+
+    With 2^j the top bit of g, g + A is the cached (g - 2^j) + A with each
+    block of 2^j bits whose positions have bit j clear swapped with the next.
+    """
 
     def __init__(self, members: frozenset[int], n: int) -> None:
-        self.members, self.nbytes = members, ((1 << n) + 7) // 8
+        self[0] = sum(map((1).__lshift__, members))
+        self.low = [int(("0" * 2**j + "1" * 2**j) * 2 ** (n - j - 1), 2) for j in range(n)]
 
     def __missing__(self, g: int) -> int:
-        buf = bytearray(self.nbytes)
-        for x in map(g.__xor__, self.members):
-            buf[x >> 3] |= 1 << (x & 7)
-        got = self[g] = int.from_bytes(buf, "little")
+        j = g.bit_length() - 1
+        rest, low, width = self[g - (1 << j)], self.low[j], 1 << j
+        got = self[g] = (rest & low) << width | (rest >> width) & low
         return got
 
 
@@ -351,10 +361,11 @@ def max_order_exact(
     domains satisfy every cell of the definition, which already makes the
     entries, the diagonal and the upper staircase distinct.  A subtree is
     pruned when it cannot beat the best k: by the size of the t-domain (which
-    also caps k at |A|), then from round 2 on by a two-sided ladder bound,
-    the ladder_cap of the degrees between the t-domain and the s's outside
-    the union.  The search order is kept, so kmax, witness and status of an
-    exact solve do not depend on the prunes; only the node count does.
+    also caps k at |A|), then from round 2 on and for n <= LADDER_MAX_DIM by
+    a two-sided ladder bound, the ladder_cap of the degrees between the
+    t-domain and the s's outside the union.  The search order is kept, so
+    kmax, witness and status of an exact solve do not depend on the prunes;
+    only the node count does.
     On hitting time_limit (wall clock) or node_limit (deterministic budget)
     the best witness found so far is reported as a lower bound.
 
@@ -373,7 +384,8 @@ def max_order_exact(
     ncap = len(members)
 
     shifted = {}  # g -> frozenset(g + A)
-    translates = _Translates(members, n)  # g -> g + A as a 2^n-bit int
+    # g -> g + A as a 2^n-bit int, for the ladder bound
+    translates = _Translates(members, n) if n <= LADDER_MAX_DIM else None
 
     def shift(g: int) -> frozenset:
         got = shifted.get(g)
@@ -390,7 +402,6 @@ def max_order_exact(
     s_seq: list[int] = []
     t_seq: list[int] = []
     union_t: set[int] = set()  # union of t_j + A over chosen j
-    union_bits = [0]  # union_t as a bitset after each chosen t, and before the first
 
     def descend(t_domain: list[int]) -> None:
         # t_domain: candidates for this round's t, already restricted to the
@@ -399,13 +410,13 @@ def max_order_exact(
         nonlocal best_k, best_s, best_t, nodes
         if best_k == ncap or len(s_seq) + len(t_domain) <= best_k:
             return
-        if s_seq:
+        if s_seq and translates is not None:
             # ladder bound on the degrees |(u + A) - union|, then |(s + A) & t_domain|
-            free = ~union_bits[-1]
+            free = ~reduce(operator.or_, map(translates.__getitem__, t_seq))
             fresh_bits = [translates[u] & free for u in t_domain]
             if len(s_seq) + ladder_cap(map(int.bit_count, fresh_bits)) <= best_k:
                 return
-            t_bits = sum(map((1).__lshift__, t_domain))
+            t_bits = sum(map((1).__lshift__, t_domain))  # t_domain as a bitset
             candidates, s_degrees = reduce(operator.or_, fresh_bits), []
             while candidates:  # each set bit is a candidate s
                 low = candidates & -candidates
@@ -422,7 +433,6 @@ def max_order_exact(
             # s_r's domain, and what t_r adds to the union
             fresh = shift(t) - union_t
             union_t.update(fresh)
-            union_bits.append(union_bits[-1] | translates[t])
             t_seq.append(t)
             for s in sorted(fresh):
                 nodes += 1
@@ -438,7 +448,6 @@ def max_order_exact(
                     return
                 s_seq.pop()
             union_t.difference_update(fresh)
-            union_bits.pop()
             t_seq.pop()
 
     status = "exact"

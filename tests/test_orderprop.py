@@ -11,6 +11,7 @@ from stabset.constructions import dyadic_construction
 from stabset.gf2 import BitVector
 from stabset.orderprop import (
     AMBIENT_Z,
+    LADDER_MAX_DIM,
     FiniteSet,
     Witness,
     ambient_f2,
@@ -228,6 +229,14 @@ class TestMaxOrderExact:
         assert (report.kmax, report.status, report.nodes_explored) == (4, "exact", 394)
         assert strings(report.witness.s) == ["0000", "0010", "0101", "0110"]
         assert strings(report.witness.t) == ["0000", "0011", "0001", "1001"]
+
+    def test_ladder_bound_off_above_max_dim(self):
+        # dyadic l=1 lifted into F2^n keeps its sums and its search order, so
+        # only the ladder bound, which stops above LADDER_MAX_DIM, moves the nodes
+        bits = dyadic_construction(1).A.int_members()
+        for n, nodes in ((LADDER_MAX_DIM, 394), (LADDER_MAX_DIM + 1, 1257)):
+            report = max_order_exact(FiniteSet.from_bits(n, bits))
+            assert (report.kmax, report.status, report.nodes_explored) == (4, "exact", nodes)
 
     def test_pinned_dyadic_l2_budgets(self):
         A = dyadic_construction(2).A
