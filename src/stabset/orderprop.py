@@ -384,7 +384,6 @@ def max_order_exact(
     ncap = len(members)
 
     shifted = {}  # g -> frozenset(g + A)
-    # g -> g + A as a 2^n-bit int, for the ladder bound
     translates = _Translates(members, n) if n <= LADDER_MAX_DIM else None
 
     def shift(g: int) -> frozenset:
