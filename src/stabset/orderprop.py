@@ -313,10 +313,10 @@ class _Timeout(Exception):
     pass
 
 
-#: Largest n for which the exact search runs its ladder bound, whose work per
-#: node grows with 2^n.  On random sets with |A| = 2^n/8 it gained at n=12 and
-#: lost at n=14; on dyadic l=3 (n=16) 20,000 nodes took 18.8 s, not 1.8 s.
-LADDER_MAX_DIM = 12
+#: Largest n for which the exact search runs its ladder bound, whose work is
+#: on 2^n-bit ints: on random sets of 40-100 elements it was faster up to n=16,
+#: even at n=17 with twice the memory, slower with 2.6-13x the memory at 18-20.
+LADDER_MAX_DIM = 16
 
 
 def ladder_cap(degrees: Iterable[int]) -> int:
@@ -325,17 +325,16 @@ def ladder_cap(degrees: Iterable[int]) -> int:
     An m-rung ladder (an order-m witness) needs m vertices on each side with
     degrees m, m-1, ..., 1 into the other.  With the degrees sorted, d_0 >=
     d_1 >= ..., and a zero appended, m fails just when some d_j + j < m, so
-    the cap is the least d_j + j.
+    the cap is the least d_j + j.  The staircase m, m-1, ..., 1 is its own
+    conjugate, so the counts of degrees >= 1, >= 2, ... have the same cap;
+    counts up to >= v alone give the smaller of the cap and v.
     """
     return min(map(operator.add, sorted(degrees, reverse=True) + [0], count()))
 
 
 class _Translates(dict):
-    """g -> g + A as a 2^n-bit int (bit x set for each member x), built on first lookup.
-
-    With 2^j the top bit of g, g + A is the cached (g - 2^j) + A with each
-    block of 2^j bits whose positions have bit j clear swapped with the next.
-    """
+    """g -> g + A as a 2^n-bit int (bit x set for each member x), built on first lookup
+    from the cached (g - 2^j) + A, 2^j the top bit of g, by swapping its 2^j-bit blocks."""
 
     def __init__(self, members: frozenset[int], n: int) -> None:
         self[0] = sum(map((1).__lshift__, members))
@@ -410,18 +409,20 @@ def max_order_exact(
         if best_k == ncap or len(s_seq) + len(t_domain) <= best_k:
             return
         if s_seq and translates is not None:
-            # ladder bound on the degrees |(u + A) - union|, then |(s + A) & t_domain|
+            # ladder bound on the degrees |(u + A) - union| of the t-domain ...
             free = ~reduce(operator.or_, map(translates.__getitem__, t_seq))
-            fresh_bits = [translates[u] & free for u in t_domain]
-            if len(s_seq) + ladder_cap(map(int.bit_count, fresh_bits)) <= best_k:
+            rows = [translates[u] & free for u in t_domain]
+            if len(s_seq) + ladder_cap(map(int.bit_count, rows)) <= best_k:
                 return
-            t_bits = sum(map((1).__lshift__, t_domain))  # t_domain as a bitset
-            candidates, s_degrees = reduce(operator.or_, fresh_bits), []
-            while candidates:  # each set bit is a candidate s
-                low = candidates & -candidates
-                s_degrees.append((translates[low.bit_length() - 1] & t_bits).bit_count())
-                candidates ^= low
-            if len(s_seq) + ladder_cap(s_degrees) <= best_k:
+            # ... then on the s side: levels[v] holds the s in more than v of
+            # those sets, for v below the rounds that would beat best_k
+            levels = [0] * (best_k + 1 - len(s_seq))
+            for bits in rows:
+                for v, level in enumerate(levels):
+                    levels[v], bits = level | bits, level & bits
+                    if not bits:
+                        break
+            if len(s_seq) + ladder_cap(map(int.bit_count, levels)) <= best_k:
                 return
         r = len(s_seq) + 1
         for t in t_domain:

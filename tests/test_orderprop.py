@@ -232,9 +232,9 @@ class TestMaxOrderExact:
 
     def test_ladder_bound_off_above_max_dim(self):
         # dyadic l=1 lifted into F2^n keeps its sums and its search order, so
-        # only the ladder bound, which stops above LADDER_MAX_DIM, moves the nodes
+        # the ladder bound prunes the same nodes at every n up to LADDER_MAX_DIM
         bits = dyadic_construction(1).A.int_members()
-        for n, nodes in ((LADDER_MAX_DIM, 394), (LADDER_MAX_DIM + 1, 1257)):
+        for n, nodes in ((9, 394), (LADDER_MAX_DIM, 394), (LADDER_MAX_DIM + 1, 1257)):
             report = max_order_exact(FiniteSet.from_bits(n, bits))
             assert (report.kmax, report.status, report.nodes_explored) == (4, "exact", nodes)
 
