@@ -286,6 +286,10 @@ class TestLadderCap:
                     if all(degrees[i - 1] >= m + 1 - i for i in range(1, m + 1))
                 ]
                 assert ladder_cap(degrees) == ladder_cap(reversed(degrees)) == max(fits), degrees
+                # the counts of degrees >= 1, ..., >= v, as the solver's s side reads them
+                for v in range(8):
+                    counts = [sum(d >= w for d in degrees) for w in range(1, v + 1)]
+                    assert ladder_cap(counts) == min(max(fits), v), (degrees, v)
 
 
 class TestBruteforceOracle:
