@@ -314,8 +314,8 @@ class _Timeout(Exception):
 
 
 #: Largest n for which the exact search runs its ladder bound, whose work is
-#: on 2^n-bit ints: on random sets of 40-100 elements it was faster up to n=16,
-#: even at n=17 with twice the memory, slower with 2.6-13x the memory at 18-20.
+#: on 2^n-bit ints: on random sets of 40-70 elements it was faster up to n=16,
+#: even in time with 1.4-2.6x the memory at n=17-18, 3x slower at n=20.
 LADDER_MAX_DIM = 16
 
 
@@ -333,8 +333,11 @@ def ladder_cap(degrees: Iterable[int]) -> int:
 
 
 class _Translates(dict):
-    """g -> g + A as a 2^n-bit int (bit x set for each member x), built on first lookup
-    from the cached (g - 2^j) + A, 2^j the top bit of g, by swapping its 2^j-bit blocks."""
+    """g -> g + A as a 2^n-bit int (bit x set for each member x), built on first lookup.
+
+    With 2^j the top bit of g, g + A is the cached (g - 2^j) + A with each
+    block of 2^j bits whose positions have bit j clear swapped with the next.
+    """
 
     def __init__(self, members: frozenset[int], n: int) -> None:
         self[0] = sum(map((1).__lshift__, members))
